@@ -2,10 +2,10 @@
 """A/B comparison of two checkouts, both measured by this copy of the benchmark.
 
     python3 perfbench/compare.py --parent ../parent --change . [--workloads table-band ...]
-                                 [--pairs 10] [--seed 1] [--seconds 25]
 
-Pair i runs seed `--seed + i` on both sides, the parent first when i is even
-and the change first when i is odd.  Each run is `perfbench/run.py` of this
+It runs PAIRS = 10 pairs at the run length BENCHMARK.json sets.  Pair i
+runs seed 1 + i on both sides, the parent first when i is even and the
+change first when i is odd.  Each run is `perfbench/run.py` of this
 checkout, started in the side's checkout.  For every workload and end-to-end
 metric it reports each side's median and quartiles, the pairs the change won,
 and a verdict (bounds and directions come from BENCHMARK.json):
@@ -35,12 +35,14 @@ from pathlib import Path
 BENCH_DIR = Path(__file__).resolve().parent
 RUN_PY = BENCH_DIR / "run.py"
 SPEC = json.loads((BENCH_DIR.parent / "BENCHMARK.json").read_text())
+PAIRS = 10
+FIRST_SEED = 1
 
 
-def run_once(side: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_once(side: Path, workload: str, seed: int) -> dict:
     proc = subprocess.run(
         [sys.executable, str(RUN_PY), "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
+         "--seconds", str(SPEC["run_seconds"]), "--trace", "0"],
         cwd=side, capture_output=True, text=True, timeout=900,
     )
     lines = proc.stdout.strip().splitlines()
@@ -83,28 +85,23 @@ def main() -> int:
     parser.add_argument("--parent", type=Path, required=True, help="checkout of the parent commit")
     parser.add_argument("--change", type=Path, required=True, help="checkout of the change")
     parser.add_argument("--workloads", nargs="+", choices=names, default=names)
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=SPEC["run_seconds"])
     parser.add_argument("--out", type=Path, default=BENCH_DIR.parent / ".bench_out" / "compare.json")
     args = parser.parse_args()
-    if args.pairs < 2:
-        parser.error("--pairs must be at least 2")
 
     report = {}
     for workload in args.workloads:
         runs = {"parent": [], "change": []}
-        for i in range(args.pairs):
+        for i in range(PAIRS):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             for side in order:
-                runs[side].append(run_once(getattr(args, side).resolve(), workload, args.seed + i, args.seconds))
+                runs[side].append(run_once(getattr(args, side).resolve(), workload, FIRST_SEED + i))
         errors = [r["error"] for side in runs.values() for r in side if "error" in r]
         if errors:
             report[workload] = {"verdict": "failed", "errors": errors}
             print(f"{workload}: failed: {errors[0]}")
             continue
         rows = {}
-        print(f"{workload} ({args.pairs} pairs)")
+        print(f"{workload} ({PAIRS} pairs)")
         print(f"  {'metric':14s} {'parent q1/med/q3':>30s} {'change q1/med/q3':>30s} {'wins':>6s}  verdict")
         for metric in SPEC["end_to_end"]:
             name = metric["name"]

@@ -3,15 +3,18 @@
 
 Run from the repository root:
 
-    python3 perfbench/run.py --workload table-band --seed 1 --seconds 25 --trace 0
+    python3 perfbench/run.py --workload table-band --seed 1 --seconds 28 --trace 0
 
-One process, one closed-loop client: each cell is asked only after the
-previous one is answered.  --trace 0 reports the end-to-end metrics.
---trace 1 runs the same rounds untraced and then traced, and reports the
-per-layer metrics from spans around each layer's public functions.  The last
-line of standard output is one JSON object with the keys correct, attempted,
-failed and metrics; the line before it carries the provenance.  The record
-and, with --trace 1, the spans are also written under .bench_out/.
+One closed-loop client: each cell is asked only after the previous one is
+answered.  A run repeats its workload in rounds, and every round is a fresh
+interpreter that imports petersen_alpha, answers the round's cells once,
+checks them and reports its timings, so no state of one round reaches the
+next.  --trace 0 reports the end-to-end metrics.  --trace 1 runs rounds
+untraced and then as many traced, and reports the per-layer metrics from
+spans around each layer's public functions.  The last line of standard
+output is one JSON object with the keys correct, attempted, failed and
+metrics; the line before it carries the provenance.  The record and, with
+--trace 1, the spans are also written under .bench_out/.
 perfbench/README.md names the workloads and every metric.
 """
 
@@ -29,7 +32,7 @@ import statistics
 import subprocess
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import tracing
@@ -43,39 +46,31 @@ REFERENCE_CSV = ROOT / "tests" / "data" / "reference_alpha.csv"
 OUT_DIR = ROOT / ".bench_out"
 
 CELL_BUDGET_S = 60.0
+ROUND_TIMEOUT_S = 120.0
 SETUP_REPEATS = 7
 TRACE_MAX_ROUNDS = 10
 
-# Every run repeats its cells in rounds, at least MIN_ROUNDS of them, and
-# keeps each cell's fastest time and the fastest round.  Shared two-core
-# sandboxes run in phases of up to 1.6x slowdown from other tenants that last
-# seconds to minutes: the median of 3 s of cache-replay rounds drifted from
-# 20 to 37 ms within one run while the fastest round stayed at 20-21 ms.  A
-# median over the rounds moves with those phases; the fastest of rounds
-# spaced seconds apart does not.
+# A run has at least MIN_ROUNDS rounds.  A cell's latency is its median
+# over the rounds, and cells_per_s comes from the median round.  Each round
+# is a fresh interpreter, so a memo kept inside the program cannot make a
+# later round faster than the first, and the medians keep the costs that
+# come only now and then (garbage collection, a slow append).
 MIN_ROUNDS = 3
 
-# table-band: the band is rows 60 and 61 for every seed.  The median and
-# tail cell latency of a band sit on steps of its route mix (closed forms
-# take microseconds, solved cells milliseconds), and no other band near the
-# top matches it: one row up moved the median by up to 16% and the tail by
-# up to 22%, one row down moved the median by 30%.
-BAND = (60, 61)
-# After each cold generate_table round, the band cells that took under
-# RESAMPLE_MAX_S are asked again RESAMPLES times, straight through alpha
-# with the arguments generate_table uses.  The median and tail cells cost
-# 5-50 ms, so this gives them three times the samples for about a third
-# more time per round; the k = 12 cell alone takes 4 s a round.
-RESAMPLES = 2
-RESAMPLE_MAX_S = 0.5
+# table-band: the band is row 63 for every seed.  It has all three routes,
+# including the window DP at k = 11 and at k = 12 (the only k that splits
+# the DP into chunks), and both its median and its tail cell fall among
+# branch-reduce cells of close cost (31-38 ms).  In an even row most cells
+# are closed forms, and in a band of rows 60-61 the median fell on the step
+# between a 4 ms and a 10 ms cell, so it moved by 18% between runs.
+BAND = (63, 63)
 
 # beyond-table: k > 12 cells of the rows just past the committed table.  The
 # seed draws one solved cell from each of BEYOND_STRATA equal-size cost
 # strata (ranked by the time the cell took when expected.json was made) and
 # BEYOND_CLOSED closed-form cells, so every seed asks for about the same
-# work.  The 28 cells that took over BEYOND_MAX_GEN_S (up to 3.4 s) are left
-# out, so that a round stays near 5 s and a run gets four or five samples
-# of each cell.  Rows 90-110 would take 15-64 s a row.
+# work.  The 39 cells that took over BEYOND_MAX_GEN_S (up to 3.8 s) are left
+# out, so that a round stays near 6 s.  Rows 90-110 would take 15-64 s a row.
 BEYOND_POOL = [(n, k) for n in range(78, 90) for k in range(13, (n - 1) // 2 + 1)]
 BEYOND_STRATA = 36
 BEYOND_CLOSED = 11  # an odd cell count makes the median one cell
@@ -124,13 +119,14 @@ def independence_error(n: int, k: int, witness, value: int) -> str | None:
 
 @dataclass
 class Round:
-    """One pass over a workload's cells."""
+    """One pass over a workload's cells, made in one fresh interpreter."""
 
-    wall_s: float                           # timed region only; checks run after it
-    outside_s: float                        # part of wall_s outside the timed cells
-    latencies: list[tuple[object, float]]   # (cell, seconds) per answered cell
+    wall_s: float | None                    # timed region only; None if the round failed as a whole
+    latencies: list                         # [n, k, seconds] per timed cell
     attempted: int
     failures: list[str]                     # one per failed cell
+    peak_rss_mb: float = 0.0                # of the interpreter that made the round
+    trace: dict | None = field(default=None)  # per-layer metrics of a traced round
 
 
 class Context:
@@ -178,6 +174,14 @@ def require_expected(cells, expect: dict) -> None:
         raise BenchError(f"{EXPECTED_JSON.name} has no value for {missing[:3]}; run perfbench/make_expected.py")
 
 
+def round_order(cells: list, seed: int, index: int) -> list:
+    """The cells in the order round `index` asks them, so that no cell is
+    always the first a fresh interpreter answers."""
+    order = list(cells)
+    random.Random(seed * 1_000_003 + index).shuffle(order)
+    return order
+
+
 def solve_cells(ctx: Context, cells, expect: dict, want_witness: bool, tracer) -> Round:
     """Ask alpha for each cell in turn; a raise is a failed cell, never a crash."""
     latencies, results = [], []
@@ -190,14 +194,14 @@ def solve_cells(ctx: Context, cells, expect: dict, want_witness: bool, tracer) -
             result = ctx.solver.alpha(n, k, want_witness=want_witness, deadline=time.monotonic() + CELL_BUDGET_S)
         except Exception as exc:  # counted as a failed cell below
             result = exc
-        latencies.append(((n, k), time.perf_counter() - t))
+        latencies.append([n, k, time.perf_counter() - t])
         results.append(result)
     wall = time.perf_counter() - start
     if tracer is not None:
         tracer.cell = None
     failures = [err for key, result in zip(cells, results)
                 if (err := check_answer(key, result, expect[key], want_witness))]
-    return Round(wall, wall - sum(s for _, s in latencies), latencies, len(cells), failures)
+    return Round(wall, latencies, len(cells), failures)
 
 
 class TableBand:
@@ -211,8 +215,6 @@ class TableBand:
         self.lo, self.hi = BAND
         self.band = [(n, k) for n in range(self.lo, self.hi + 1) for k in range(1, (n - 1) // 2 + 1)]
         self.cells_per_round = len(self.band)
-        with COMMITTED_CACHE.open() as f:
-            self.prefix = "".join(line for line in f if json.loads(line)["n"] < self.lo)
         self.cache = OUT_DIR / "table-band.jsonl"
 
     def describe(self) -> dict:
@@ -221,10 +223,14 @@ class TableBand:
     def setup(self) -> tuple[str, str]:
         return f"print(petersen_alpha.alpha({self.lo}, 1).value)", str(self.ctx.reference[(self.lo, 1)])
 
-    def run_round(self, tracer) -> Round:
-        self.cache.write_text(self.prefix)
-        latencies: list[tuple[object, float]] = []
-        restore = tracing.cell_timer(latencies) if tracer is None else (lambda: None)
+    def run_round(self, tracer, index: int) -> Round:
+        with COMMITTED_CACHE.open() as f:
+            prefix = "".join(line for line in f if json.loads(line)["n"] < self.lo)
+        self.cache.write_text(prefix)
+        # A cell's latency is the solver.alpha call generate_table makes for
+        # it; a cell answered without one gets no sample.
+        timed: list[tuple[tuple[int, int], float]] = []
+        restore = tracing.cell_timer(timed) if tracer is None else (lambda: None)
         cells = None
         start = time.perf_counter()
         try:
@@ -235,12 +241,10 @@ class TableBand:
             wall = time.perf_counter() - start
             restore()
         if cells is None:
-            return Round(wall, wall, [], len(self.band), [f"{key}: generate_table raised {error}" for key in self.band])
-        if tracer is None and len(latencies) != len(self.band):
-            raise BenchError(f"timed {len(latencies)} alpha calls for {len(self.band)} band cells")
+            return Round(wall, [], len(self.band), [f"{key}: generate_table raised {error}" for key in self.band])
         got = {(c.n, c.k): c.alpha for c in cells}
         appended = {}
-        for line in self.cache.read_text()[len(self.prefix):].splitlines():
+        for line in self.cache.read_text()[len(prefix):].splitlines():
             rec = json.loads(line)
             appended[(rec["n"], rec["k"])] = rec["alpha"]
         failures = []
@@ -250,13 +254,9 @@ class TableBand:
                 failures.append(f"{key}: table alpha {got.get(key)}, expected {want}")
             elif appended.get(key) != want:
                 failures.append(f"{key}: cache line alpha {appended.get(key)}, expected {want}")
-        outside = wall - sum(s for _, s in latencies)
-        if tracer is not None:
-            return Round(wall, outside, latencies, len(self.band), failures)
-        cheap = [key for key, seconds in latencies if seconds < RESAMPLE_MAX_S]
-        again = solve_cells(self.ctx, cheap * RESAMPLES, self.ctx.reference, False, None)
-        return Round(wall, outside, latencies + again.latencies, len(self.band) + again.attempted,
-                     failures + again.failures)
+        band = set(self.band)
+        latencies = [[n, k, seconds] for (n, k), seconds in timed if (n, k) in band]
+        return Round(wall, latencies, len(self.band), failures)
 
 
 class BeyondTable:
@@ -265,7 +265,7 @@ class BeyondTable:
     name = "beyond-table"
 
     def __init__(self, seed: int, ctx: Context) -> None:
-        self.ctx = ctx
+        self.ctx, self.seed = ctx, seed
         self.expect = {key: a for key, (a, _, _) in ctx.beyond.items()}
         closed = sorted(key for key, (_, method, _) in ctx.beyond.items() if method == "closed-form")
         solved = sorted((gen_s, key) for key, (_, method, gen_s) in ctx.beyond.items()
@@ -275,7 +275,6 @@ class BeyondTable:
         self.cells = [rng.choice(solved[s * size // BEYOND_STRATA:(s + 1) * size // BEYOND_STRATA])[1]
                       for s in range(BEYOND_STRATA)]
         self.cells += rng.sample(closed, BEYOND_CLOSED)
-        rng.shuffle(self.cells)
         require_expected(self.cells, self.expect)
         self.cells_per_round = len(self.cells)
 
@@ -286,8 +285,8 @@ class BeyondTable:
         n, k = min(self.cells, key=lambda key: self.ctx.beyond[key][2])
         return f"print(petersen_alpha.alpha({n}, {k}).value)", str(self.expect[(n, k)])
 
-    def run_round(self, tracer) -> Round:
-        return solve_cells(self.ctx, self.cells, self.expect, False, tracer)
+    def run_round(self, tracer, index: int) -> Round:
+        return solve_cells(self.ctx, round_order(self.cells, self.seed, index), self.expect, False, tracer)
 
 
 class WitnessSweep:
@@ -296,10 +295,9 @@ class WitnessSweep:
     name = "witness-sweep"
 
     def __init__(self, seed: int, ctx: Context) -> None:
-        self.ctx = ctx
+        self.ctx, self.seed = ctx, seed
         rng = random.Random(seed)
         self.cells = [(n, k) for k in WITNESS_KS for n in rng.sample(WITNESS_NS, WITNESS_PER_K)]
-        rng.shuffle(self.cells)
         require_expected(self.cells, ctx.witness)
         self.cells_per_round = len(self.cells)
 
@@ -311,8 +309,8 @@ class WitnessSweep:
         return (f"print(petersen_alpha.alpha({n}, {k}, want_witness=True).value)",
                 str(self.ctx.witness[(n, k)]))
 
-    def run_round(self, tracer) -> Round:
-        return solve_cells(self.ctx, self.cells, self.ctx.witness, True, tracer)
+    def run_round(self, tracer, index: int) -> Round:
+        return solve_cells(self.ctx, round_order(self.cells, self.seed, index), self.ctx.witness, True, tracer)
 
 
 class CacheReplay:
@@ -323,22 +321,22 @@ class CacheReplay:
     N_MAX = 77
 
     def __init__(self, seed: int, ctx: Context) -> None:
-        self.ctx = ctx
-        self.order = sorted(ctx.reference)
-        random.Random(seed).shuffle(self.order)  # order of the best_bounds queries
-        self.cells_per_round = len(self.order)
+        self.ctx, self.seed = ctx, seed
+        self.cells = sorted(ctx.reference)
+        self.cells_per_round = len(self.cells)
         self.copy = OUT_DIR / "cache-replay.jsonl"
 
     def describe(self) -> dict:
-        return {"n_max": self.N_MAX, "cells": len(self.order), "best_bounds_order": "shuffled by seed"}
+        return {"n_max": self.N_MAX, "cells": len(self.cells), "best_bounds_order": "shuffled by seed and round"}
 
     def setup(self) -> tuple[str, str]:
         shutil.copyfile(COMMITTED_CACHE, self.copy)
         return (f"print(tables.generate_table({self.N_MAX}, cache_path={str(self.copy)!r})[0].alpha)",
                 str(self.ctx.reference[(5, 1)]))
 
-    def run_round(self, tracer) -> Round:
+    def run_round(self, tracer, index: int) -> Round:
         tables, bounds = self.ctx.tables, self.ctx.bounds
+        order = round_order(self.cells, self.seed, index)
         shutil.copyfile(COMMITTED_CACHE, self.copy)
         latencies, reports = [], []
         start = time.perf_counter()
@@ -350,23 +348,21 @@ class CacheReplay:
                 self.N_MAX, alphas={(c.n, c.k): c.alpha for c in cells if c.alpha is not None})
             # The table, CSV and conjecture answer all cells at once; the
             # bounds query is the one answered cell by cell.
-            for n, k in self.order:
+            for n, k in order:
                 if tracer is not None:
                     tracer.cell = tracer.new_cell()
                 t = time.perf_counter()
                 reports.append(bounds.best_bounds(n, k))
-                latencies.append(((n, k), time.perf_counter() - t))
+                latencies.append([n, k, time.perf_counter() - t])
         except Exception as exc:  # every cell counts as failed
-            wall = time.perf_counter() - start
-            return Round(wall, wall, [], len(self.order), [f"replay raised {exc!r}"] * len(self.order))
+            return Round(time.perf_counter() - start, [], len(order), [f"replay raised {exc!r}"] * len(order))
         finally:
             if tracer is not None:
                 tracer.cell = None
         wall = time.perf_counter() - start
-        return Round(wall, wall - sum(s for _, s in latencies), latencies, len(self.order),
-                     self.check(cells, sink.getvalue(), conjecture, reports))
+        return Round(wall, latencies, len(order), self.check(cells, sink.getvalue(), conjecture, order, reports))
 
-    def check(self, cells, csv_text: str, conjecture, reports) -> list[str]:
+    def check(self, cells, csv_text: str, conjecture, order, reports) -> list[str]:
         ref = self.ctx.reference
         bad: dict[tuple[int, int], str] = {}
         if sorted((c.n, c.k) for c in cells) != sorted(ref):
@@ -386,7 +382,7 @@ class CacheReplay:
             holds = ref[(cc.n, cc.k)] >= 4 * cc.n // 5
             if cc.alpha != ref[(cc.n, cc.k)] or cc.holds != holds or cc.beta_holds != holds:
                 bad.setdefault((cc.n, cc.k), "conjecture cell wrong")
-        for (n, k), report in zip(self.order, reports):
+        for (n, k), report in zip(order, reports):
             a = ref[(n, k)]
             if not report.lower.value <= a <= report.upper.value or report.exact not in (None, a):
                 bad.setdefault((n, k), f"bounds [{report.lower.value}, {report.upper.value}] exact {report.exact}")
@@ -398,46 +394,109 @@ class CacheReplay:
 WORKLOADS = {w.name: w for w in (TableBand, BeyondTable, WitnessSweep, CacheReplay)}
 
 
-def measure_setup(workload) -> tuple[float, list[str]]:
-    """Median seconds for a fresh interpreter to import petersen_alpha and
-    answer one cell of the workload, and the wrong answers it gave."""
-    snippet, want = workload.setup()
-    code = f"import petersen_alpha\nfrom petersen_alpha import tables\n{snippet}\n"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC_DIR), os.environ.get("PYTHONPATH")])))
-    times, failures = [], []
-    for _ in range(SETUP_REPEATS):
-        start = time.perf_counter()
-        proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env, capture_output=True,
-                              text=True, timeout=120)
-        times.append(time.perf_counter() - start)
-        if proc.returncode != 0 or proc.stdout.strip() != want:
-            failures.append(f"setup answered {proc.stdout.strip()!r} (exit {proc.returncode}), expected {want}")
-    return statistics.median(times), failures
-
-
-def run_rounds(workload, seconds: float, min_rounds: int, max_rounds: int | None = None,
-               tracer=None) -> tuple[list[Round], dict[object, float]]:
-    """Run rounds, checks included, until another would overrun `seconds`,
-    but at least `min_rounds` and at most `max_rounds`.  Returns the rounds
-    and each cell's fastest latency; the rounds' own latencies are dropped
-    once folded in, so memory does not grow with the number of rounds."""
-    rounds: list[Round] = []
-    fastest: dict[object, float] = {}
-    restore = tracing.install(tracer.wrap) if tracer is not None else (lambda: None)
-    start = time.perf_counter()
+def peak_rss_mb() -> float:
+    """Peak resident memory of this process.  VmHWM starts afresh at exec;
+    ru_maxrss may carry the peak of the process that started this one."""
     try:
-        while True:
-            r = workload.run_round(tracer)
-            for cell, latency in r.latencies:
-                if latency < fastest.get(cell, float("inf")):
-                    fastest[cell] = latency
-            r.latencies = []
-            rounds.append(r)
-            spent = time.perf_counter() - start
-            if len(rounds) == max_rounds or (len(rounds) >= min_rounds and spent + spent / len(rounds) > seconds):
-                return rounds, fastest
+        with open("/proc/self/status") as f:
+            for line in f:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1]) / 1024
+    except OSError:
+        pass
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+
+
+def spans_path(workload: str, seed: int) -> Path:
+    return OUT_DIR / f"spans-{workload}-seed{seed}.jsonl"
+
+
+def round_main(args) -> int:
+    """Make round `args.round` of the workload in this interpreter and print
+    it as one JSON line."""
+    workload = WORKLOADS[args.workload](args.seed, Context())
+    tracer = tracing.Tracer() if args.trace else None
+    restore = tracing.install(tracer.wrap) if tracer is not None else (lambda: None)
+    try:
+        result = workload.run_round(tracer, args.round)
     finally:
         restore()
+    if tracer is not None:
+        result.trace = tracer.metrics(result.wall_s)
+        tracer.write(spans_path(args.workload, args.seed), args.round)
+    result.peak_rss_mb = peak_rss_mb()
+    print(json.dumps(asdict(result)))
+    return 0
+
+
+def run_round(workload, seed: int, index: int, trace: int) -> Round:
+    """Round `index` of the workload, made by a fresh interpreter.  A round
+    whose interpreter fails or overruns counts all its cells as failed."""
+    cmd = [sys.executable, str(Path(__file__).resolve()), "--workload", workload.name, "--seed", str(seed),
+           "--trace", str(trace), "--round", str(index)]
+    failed = Round(None, [], workload.cells_per_round, [])
+    try:
+        proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True, timeout=ROUND_TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        failed.failures = [f"round {index} took over {ROUND_TIMEOUT_S:.0f} s"] * workload.cells_per_round
+        return failed
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or not lines:
+        why = proc.stderr.strip().splitlines()[-1:] or [f"exit {proc.returncode}"]
+        failed.failures = [f"round {index} failed: {why[0]}"] * workload.cells_per_round
+        return failed
+    return Round(**json.loads(lines[-1]))
+
+
+class SetupProbe:
+    """Times fresh interpreters that import petersen_alpha and answer one
+    cell of the workload, from spawn to exit.  The samples are spread over
+    the run, SETUP_REPEATS of them, so that one phase of contention on the
+    machine cannot slow them all."""
+
+    def __init__(self, workload, seconds: float) -> None:
+        snippet, self.want = workload.setup()
+        self.code = f"import petersen_alpha\nfrom petersen_alpha import tables\n{snippet}\n"
+        self.env = dict(os.environ,
+                        PYTHONPATH=os.pathsep.join(filter(None, [str(SRC_DIR), os.environ.get("PYTHONPATH")])))
+        self.every = seconds / SETUP_REPEATS
+        self.times: list[float] = []
+        self.failures: list[str] = []
+
+    def sample(self) -> None:
+        start = time.perf_counter()
+        proc = subprocess.run([sys.executable, "-c", self.code], cwd=ROOT, env=self.env, capture_output=True,
+                              text=True, timeout=120)
+        self.times.append(time.perf_counter() - start)
+        if proc.returncode != 0 or proc.stdout.strip() != self.want:
+            self.failures.append(f"setup answered {proc.stdout.strip()!r} (exit {proc.returncode}), "
+                                 f"expected {self.want}")
+
+    def catch_up(self, elapsed: float) -> None:
+        """Take the samples due `elapsed` seconds into the run."""
+        while len(self.times) < SETUP_REPEATS and len(self.times) * self.every <= elapsed:
+            self.sample()
+
+    def median(self) -> float:
+        while len(self.times) < SETUP_REPEATS:
+            self.sample()
+        return statistics.median(self.times)
+
+
+def run_rounds(workload, seed: int, seconds: float, min_rounds: int, max_rounds: int | None = None,
+               trace: int = 0, first: int = 0, setup: SetupProbe | None = None) -> list[Round]:
+    """Rounds `first`, `first + 1`, ... until another would overrun
+    `seconds`, but at least `min_rounds` and at most `max_rounds`; before
+    each round, the set-up samples that are due."""
+    rounds: list[Round] = []
+    start = time.perf_counter()
+    while True:
+        if setup is not None:
+            setup.catch_up(time.perf_counter() - start)
+        rounds.append(run_round(workload, seed, first + len(rounds), trace))
+        spent = time.perf_counter() - start
+        if len(rounds) == max_rounds or (len(rounds) >= min_rounds and spent + spent / len(rounds) > seconds):
+            return rounds
 
 
 def tail(samples: list[float]) -> tuple[float, float]:
@@ -481,13 +540,16 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workload", required=True, choices=sorted(WORKLOADS))
     parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--seconds", type=float, required=True)
+    parser.add_argument("--seconds", type=float)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
+    parser.add_argument("--round", type=int, help="make only this round, in this interpreter, and print it")
     args = parser.parse_args(argv)
-    if args.seconds <= 0:
-        parser.error("--seconds must be positive")
+    if args.round is None and (args.seconds is None or args.seconds <= 0):
+        parser.error("--seconds must be given and positive")
 
     try:
+        if args.round is not None:
+            return round_main(args)
         ctx = Context()
         OUT_DIR.mkdir(exist_ok=True)
         workload = WORKLOADS[args.workload](args.seed, ctx)
@@ -499,30 +561,38 @@ def main(argv: list[str] | None = None) -> int:
         failures: list[str] = []
         attempted = 0
         if not args.trace:
-            setup_s, setup_failures = measure_setup(workload)
-            failures += setup_failures
+            setup = SetupProbe(workload, args.seconds)
+            rounds = run_rounds(workload, args.seed, args.seconds, MIN_ROUNDS, setup=setup)
+            setup_s = setup.median()
+            failures += setup.failures
             attempted += SETUP_REPEATS
-            rounds, fastest = run_rounds(workload, args.seconds, MIN_ROUNDS)
-            latencies = list(fastest.values())
-            if not latencies:
-                raise BenchError("no cell was answered")
+            timed = [r for r in rounds if r.wall_s is not None]
+            samples: dict[tuple[int, int], list[float]] = {}
+            for r in timed:
+                for n, k, seconds in r.latencies:
+                    samples.setdefault((n, k), []).append(seconds)
+            if not samples:
+                raise BenchError("no cell was timed")
+            latencies = [statistics.median(s) for s in samples.values()]
             tail_s, tail_pct = tail(latencies)
             metrics = {
-                # a round rebuilt from the fastest time of each of its parts
-                "cells_per_s": workload.cells_per_round / (sum(latencies) + min(r.outside_s for r in rounds)),
+                "cells_per_s": workload.cells_per_round / statistics.median(r.wall_s for r in timed),
                 "cell_p50_ms": 1000 * statistics.median(latencies),
                 "cell_tail_ms": 1000 * tail_s,
-                "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+                "peak_rss_mb": max(r.peak_rss_mb for r in timed),
                 "setup_s": setup_s,
             }
-            notes = {"tail_percentile": tail_pct, "latency_samples": len(latencies)}
+            notes = {"tail_percentile": tail_pct, "latency_cells": len(latencies),
+                     "round_wall_s": [r.wall_s for r in rounds]}
         else:
-            untraced, _ = run_rounds(workload, args.seconds / 2, 1, TRACE_MAX_ROUNDS)
-            tracer = tracing.Tracer()
-            traced, _ = run_rounds(workload, float("inf"), len(untraced), len(untraced), tracer)
+            spans_path(args.workload, args.seed).unlink(missing_ok=True)
+            untraced = run_rounds(workload, args.seed, args.seconds / 2, 1, TRACE_MAX_ROUNDS)
+            traced = run_rounds(workload, args.seed, float("inf"), len(untraced), len(untraced), 1, len(untraced))
             rounds = untraced + traced
-            metrics = tracer.metrics(sum(r.wall_s for r in traced), sum(r.wall_s for r in untraced))
-            tracer.write(OUT_DIR / f"spans-{args.workload}-seed{args.seed}.jsonl")
+            parts = [r.trace for r in traced if r.trace is not None]
+            if not parts or any(r.wall_s is None for r in rounds):
+                raise BenchError("a round failed; run with --trace 0 to see which cells")
+            metrics = tracing.merge(parts, sum(r.wall_s for r in untraced))
             self_sum = sum(v for name, v in metrics.items() if name.endswith(".self_s") and name.count(".") == 2)
             notes = {"self_sum_s": self_sum,
                      "self_sum_plus_unspanned_s": self_sum + metrics["trace.unspanned_s"]}
@@ -549,7 +619,7 @@ def main(argv: list[str] | None = None) -> int:
     for name, value in metrics.items():
         print(f"  {name:45s} {value:14.6g} {units[name]}")
     for name, value in notes.items():
-        print(f"  ({name} {value:.6g})")
+        print(f"  ({name} {value if isinstance(value, list) else format(value, '.6g')})")
     (OUT_DIR / f"result-{args.workload}-seed{args.seed}-trace{args.trace}.json").write_text(
         json.dumps({"provenance": provenance, "notes": notes, "failures": failures, **record}) + "\n")
     print(json.dumps({"provenance": provenance}))

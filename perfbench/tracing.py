@@ -6,7 +6,7 @@ so calls between modules (tables -> solver -> bounds -> graph) pass through
 it.  `install` returns a function that restores the original bindings.
 
 A span is [name, start, end, parent index, cell id, note].  Spans stay in
-memory until the run ends.  A layer's self time is its span's duration minus
+memory until the round ends.  A layer's self time is its span's duration minus
 the durations of its direct children, which cover disjoint parts of it
 because the program is single-threaded.
 """
@@ -194,15 +194,17 @@ class Tracer:
 
         return traced
 
-    def write(self, path: Path) -> None:
-        with path.open("w") as f:
+    def write(self, path: Path, round_index: int) -> None:
+        """Append the spans to `path`; ids, parents and cells count within
+        the round."""
+        with path.open("a") as f:
             for i, (name, start, end, parent, cell, note) in enumerate(self.spans):
-                f.write(json.dumps({"id": i, "name": name, "start": start, "end": end,
+                f.write(json.dumps({"round": round_index, "id": i, "name": name, "start": start, "end": end,
                                     "parent": parent, "cell": cell, "note": note}) + "\n")
 
-    def metrics(self, traced_wall: float, untraced_wall: float) -> dict[str, float]:
-        """Every per-layer metric from the spans of `traced_wall` seconds of
-        rounds that took `untraced_wall` seconds without tracing."""
+    def metrics(self, traced_wall: float) -> dict[str, float]:
+        """The per-layer metrics of `traced_wall` seconds of traced work
+        that sum over rounds; `merge` adds the rest."""
         spans = self.spans
         child = [0.0] * len(spans)
         for name, start, end, parent, _, _ in spans:
@@ -243,14 +245,10 @@ class Tracer:
             for fn in fns:
                 out[f"{layer}.{fn}.calls"] = calls[f"{layer}.{fn}"]
                 out[f"{layer}.{fn}.self_s"] = self_s[f"{layer}.{fn}"]
-        cf_calls = calls["bounds.exact_closed_form"]
-        dp_self = self_s["solver.alpha_window_dp"]
         out.update({
             "bounds.exact_closed_form.hits": counts["bounds.exact_closed_form.hits"],
-            "bounds.exact_closed_form.hit_ratio": counts["bounds.exact_closed_form.hits"] / cf_calls if cf_calls else 0.0,
             **{f"solver.alpha.route.{r}": counts[f"solver.alpha.route.{r}"] for r in ROUTES.values()},
             "solver.alpha_window_dp.cell_updates": counts["solver.alpha_window_dp.cell_updates"],
-            "solver.alpha_window_dp.updates_per_s": counts["solver.alpha_window_dp.cell_updates"] / dp_self if dp_self else 0.0,
             "solver.alpha_window_dp.state_bytes": state_bytes,
             "solver.alpha_window_dp.witness.calls": counts["solver.alpha_window_dp.witness.calls"],
             "solver.alpha_window_dp.witness.self_s": counts["solver.alpha_window_dp.witness.self_s"],
@@ -260,11 +258,26 @@ class Tracer:
             "trace.cells": self.cells,
             "trace.spans": len(spans),
             "trace.wall_s": traced_wall,
-            "trace.untraced_wall_s": untraced_wall,
-            "trace.overhead_s": traced_wall - untraced_wall,
             "trace.unspanned_s": traced_wall - spanned,
         })
-        for name, unit, _ in PER_LAYER_METRICS:
-            if unit in ("count", "B"):
-                out[name] = int(out[name])
         return out
+
+
+def merge(parts: list[dict[str, float]], untraced_wall: float) -> dict[str, float]:
+    """Every per-layer metric of several traced rounds, from each round's
+    `Tracer.metrics`, given the wall time of as many rounds untraced.  The
+    rounds' figures are summed, except state_bytes, the largest."""
+    out: dict[str, float] = {name: 0 for name, _, _ in PER_LAYER_METRICS}
+    for part in parts:
+        for name, value in part.items():
+            out[name] = max(out[name], value) if name == "solver.alpha_window_dp.state_bytes" else out[name] + value
+    cf_calls = out["bounds.exact_closed_form.calls"]
+    dp_self = out["solver.alpha_window_dp.self_s"]
+    out["bounds.exact_closed_form.hit_ratio"] = out["bounds.exact_closed_form.hits"] / cf_calls if cf_calls else 0.0
+    out["solver.alpha_window_dp.updates_per_s"] = out["solver.alpha_window_dp.cell_updates"] / dp_self if dp_self else 0.0
+    out["trace.untraced_wall_s"] = untraced_wall
+    out["trace.overhead_s"] = out["trace.wall_s"] - untraced_wall
+    for name, unit, _ in PER_LAYER_METRICS:
+        if unit in ("count", "B"):
+            out[name] = int(out[name])
+    return out
