@@ -39,11 +39,7 @@ def _emit_json(payload: dict) -> None:
 
 
 def _cmd_alpha(args) -> int:
-    result = solve_alpha(
-        args.n, args.k,
-        {"auto": "auto", "dp": "dp", "bb": "bb", "closed": "closed"}[args.method],
-        want_witness=args.witness,
-    )
+    result = solve_alpha(args.n, args.k, args.method, want_witness=args.witness)
     payload = {
         "n": args.n, "k": args.k, "alpha": result.value,
         "method": result.method, "elapsed_ms": result.elapsed_ms,

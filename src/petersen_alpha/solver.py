@@ -19,12 +19,15 @@ Three independent routes compute alpha(P(n,k)):
 * a tiny exhaustive oracle (memoized subset recursion, at most 32 vertices)
   that the test suite uses as ground truth.
 
-All engines return the same values; the dispatcher picks a closed form when
-one applies, then the DP for k up to the configured cap, then branch-reduce.
+All engines return the same values.  The dispatcher answers from a closed
+form when one applies, and otherwise runs whichever of the DP and
+branch-reduce a cost model fitted from measured timings expects to finish
+first (the DP only for k <= K_DP_DEFAULT).
 """
 
 from __future__ import annotations
 
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -192,7 +195,9 @@ def alpha_window_dp(
         return ExactResult(best, "window-dp", witness, time.perf_counter() - start)
 
     half = 1 << (k - 1)
-    chunk_rows = max(1, (1 << 24) >> (k + 1))
+    # 2^18 states per chunk: each value table is 0.5 MB of int16 and stays
+    # in cache across the n columns; every k <= 8 is still a single chunk
+    chunk_rows = max(1, (1 << 18) >> (k + 1))
 
     best = -1
     best_state = 0
@@ -573,40 +578,63 @@ def maximum_independent_sets(g: AdjacencyGraph) -> list[frozenset[int]]:
 # ---------------------------------------------------------------------------
 
 
+# Estimated seconds of each engine on P(n,k), fitted by
+# scripts/fit_dispatch.py from the timing grid recorded in BENCH_dispatch.json:
+#     window DP       _DP_COST * 4**k * n
+#     branch-reduce   _BR_COST * exp(_BR_RATE * n)
+# The DP sweeps 2^(k+1) seeds over 2^(k+1) states per column.  Branch-reduce
+# finds no useful clique-cover bound on these cubic graphs (triangle-free
+# unless n = 3k), so its search tree grows about exponentially with the
+# vertex count; over the grid k moves its time far less than n does, and the
+# model leaves k out.
+_DP_COST = 2.9e-9
+_BR_COST = 1.7e-3
+_BR_RATE = 0.0508
+
+
+def _dp_is_cheaper(n: int, k: int) -> bool:
+    """Whether "auto" should run the window DP rather than branch-reduce."""
+    if k > K_DP_DEFAULT:
+        return False
+    # compared as logarithms: exp(_BR_RATE * n) overflows a float for large n
+    log_dp = math.log(_DP_COST) + k * math.log(4) + math.log(n)
+    log_br = math.log(_BR_COST) + _BR_RATE * n
+    return log_dp <= log_br
+
+
 def alpha(
     n: int,
     k: int,
     strategy: str = "auto",
     *,
     want_witness: bool = False,
-    k_dp_cap: int = K_DP_DEFAULT,
     deadline: float | None = None,
 ) -> ExactResult:
     """Exact alpha(P(n,k)) via the requested strategy.
 
     "auto" answers from a closed form when one applies (unless a witness is
-    requested, since closed forms carry none), then the window DP for
-    k <= k_dp_cap, then branch-reduce.  "closed", "dp" and "bb" force one
-    route and raise DomainError when its precondition fails.
+    requested, since closed forms carry none), else runs whichever of the
+    window DP and branch-reduce the fitted cost model expects to be faster.
+    "closed", "dp" and "bb" force one route and raise DomainError when its
+    precondition fails.
     """
     g = petersen_graph(n, k)
     start = time.perf_counter()
+    if strategy not in ("auto", "closed", "dp", "bb"):
+        raise DomainError(f"unknown strategy {strategy!r}")
 
-    if strategy == "closed" or (strategy == "auto" and not want_witness):
-        cf = _bounds.exact_closed_form(n, k)
-        if cf is not None:
-            return ExactResult(cf.value, "closed-form", None, time.perf_counter() - start)
-        if strategy == "closed":
-            raise DomainError(f"no closed form applies to (n={n}, k={k})")
+    consult_closed = strategy == "closed" or (strategy == "auto" and not want_witness)
+    cf = _bounds.exact_closed_form(n, k) if consult_closed else None
+    if cf is not None:
+        return ExactResult(cf.value, "closed-form", None, time.perf_counter() - start)
+    if strategy == "closed":
+        raise DomainError(f"no closed form applies to (n={n}, k={k})")
 
-    if strategy == "dp" or (strategy == "auto" and k <= k_dp_cap):
-        return alpha_window_dp(n, k, want_witness=want_witness, k_cap=k_dp_cap, deadline=deadline)
+    if strategy == "dp" or (strategy == "auto" and _dp_is_cheaper(n, k)):
+        return alpha_window_dp(n, k, want_witness=want_witness, deadline=deadline)
 
-    if strategy in ("bb", "auto"):
-        hint = max((b.value for b in _bounds.lower_bounds(n, k)), default=0)
-        cf = _bounds.exact_closed_form(n, k)
-        if cf is not None:
-            hint = max(hint, cf.value)
-        return alpha_branch_reduce(adjacency(g), lower_hint=hint, deadline=deadline)
-
-    raise DomainError(f"unknown strategy {strategy!r}")
+    hint = max((b.value for b in _bounds.lower_bounds(n, k)), default=0)
+    # a closed form consulted above would have answered already
+    if not consult_closed and (cf := _bounds.exact_closed_form(n, k)) is not None:
+        hint = max(hint, cf.value)
+    return alpha_branch_reduce(adjacency(g), lower_hint=hint, deadline=deadline)

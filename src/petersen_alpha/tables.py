@@ -60,8 +60,9 @@ def table_cells(n_max: int) -> list[tuple[int, int]]:
 
 
 def cache_load(path: str | Path) -> dict[tuple[int, int], TableCell]:
-    """Load the JSONL cache; malformed lines are skipped with a warning,
-    conflicting alpha values for one cell are a hard error."""
+    """Load the JSONL cache; malformed lines (including a solved record
+    without alpha) are skipped with a warning, so their cells are computed
+    again; conflicting alpha values for one cell are a hard error."""
     out: dict[tuple[int, int], TableCell] = {}
     p = Path(path)
     if not p.exists():
@@ -78,6 +79,8 @@ def cache_load(path: str | Path) -> dict[tuple[int, int], TableCell]:
                     None if rec["alpha"] is None else int(rec["alpha"]),
                     str(rec["method"]), int(rec["elapsed_ms"]),
                 )
+                if cell.alpha is None and cell.method != "timeout":
+                    raise ValueError("only a timeout record may lack alpha")
             except (json.JSONDecodeError, KeyError, TypeError, ValueError):
                 log.warning("%s:%d: skipping malformed cache line", p, lineno)
                 continue

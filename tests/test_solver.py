@@ -105,13 +105,30 @@ def test_dp_matches_oracle(n, k):
     assert alpha_window_dp(n, k).value == alpha_oracle(g)
 
 
-def test_dispatch_routes():
+def test_dispatch_routes(reference_alpha):
     r = alpha(10, 2)
     assert r.value == 8 and r.method == "closed-form"
-    r = alpha(13, 6)
-    assert r.value == 10 and r.method == "window-dp"
     r = alpha(29, 13)
     assert r.method == "branch-reduce"
+    # the cost model: branch-reduce where it beats the DP at larger k ...
+    for n, k in [(63, 10), (63, 11), (77, 12)]:
+        r = alpha(n, k)
+        assert r.method == "branch-reduce" and r.value == reference_alpha[(n, k)], (n, k)
+    # ... and the DP at small k and for long rings
+    for n, k in [(63, 8), (13, 6)]:
+        r = alpha(n, k)
+        assert r.method == "window-dp" and r.value == reference_alpha[(n, k)], (n, k)
+    # (200,10) and (2000,8) have closed forms, so ask for witnesses
+    r = alpha(200, 10, want_witness=True)
+    assert r.method == "window-dp" and r.value == 190
+    r = alpha(2000, 8, want_witness=True)
+    assert r.method == "window-dp" and r.value == 1875
+
+
+def test_auto_matches_reference_for_k_9_to_12(reference_alpha):
+    for (n, k), expected in reference_alpha.items():
+        if 9 <= k <= 12:
+            assert alpha(n, k).value == expected, (n, k)
 
 
 def test_dispatch_strategies_agree():

@@ -75,6 +75,18 @@ def test_cache_skips_malformed_lines(tmp_path, caplog):
     assert sum("malformed" in r.message for r in caplog.records) == 2
 
 
+def test_cache_skips_solved_record_without_alpha(tmp_path, caplog):
+    path = tmp_path / "cache.jsonl"
+    path.write_text('{"n": 5, "k": 1, "alpha": null, "method": "window-dp", "elapsed_ms": 3}\n')
+    with caplog.at_level("WARNING"):
+        assert cache_load(path) == {}
+    assert any("malformed" in r.message for r in caplog.records)
+    # the cell is computed again instead of reaching the table without alpha
+    cell = generate_table(6, cache_path=path, budget_secs=None)[0]
+    assert (cell.n, cell.k, cell.alpha, cell.method) == (5, 1, 4, "closed-form")
+    assert cache_load(path)[(5, 1)].alpha == 4
+
+
 def test_cache_conflict_is_hard_error(tmp_path):
     path = tmp_path / "cache.jsonl"
     cache_append(path, TableCell(13, 4, 11, "window-dp", 7))
