@@ -8,13 +8,13 @@ since "auto" never solves them), then fits
     window DP       c_dp * 4**k * n        geometric mean of t / (4**k * n)
     branch-reduce   c_br * exp(c_n * n)    least squares on log t
 
-and writes the grid, the constants and the machine to BENCH_dispatch.json.
-Copy the printed constants into solver.py (_DP_COST, _BR_COST, _BR_RATE).
+and records the grid, the constants and the machine in BENCH_dispatch.json,
+leaving its other sections as they are.  Copy the printed constants into
+solver.py (_DP_COST, _BR_COST, _BR_RATE, _FIT_N_MAX).
 
-    python3 scripts/fit_dispatch.py --repeats 3
+    python3 scripts/fit_dispatch.py
 """
 
-import argparse
 import json
 import math
 import os
@@ -33,15 +33,17 @@ from petersen_alpha import alpha, exact_closed_form  # noqa: E402
 
 GRID_NS = (31, 45, 61, 77, 91, 105, 121)
 GRID_KS = range(6, 13)
+REPEATS = 3  # timings per cell and engine; the median is kept
+OUT = ROOT / "BENCH_dispatch.json"
 
 
 def grid_cells() -> list[tuple[int, int]]:
     return [(n, k) for n in GRID_NS for k in GRID_KS if exact_closed_form(n, k) is None]
 
 
-def median_seconds(n: int, k: int, strategy: str, repeats: int) -> float:
+def median_seconds(n: int, k: int, strategy: str) -> float:
     samples = []
-    for _ in range(repeats):
+    for _ in range(REPEATS):
         t0 = time.perf_counter()
         alpha(n, k, strategy)
         samples.append(time.perf_counter() - t0)
@@ -74,17 +76,12 @@ def cpu_model() -> str:
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--repeats", type=int, default=3, help="timings per cell and engine; the median is kept")
-    parser.add_argument("--out", type=Path, default=ROOT / "BENCH_dispatch.json")
-    args = parser.parse_args()
-
     alpha(31, 6, "dp")  # warm-up: numpy and the solver's first calls
     alpha(31, 6, "bb")
     rows = []
     for n, k in grid_cells():
-        dp_s = median_seconds(n, k, "dp", args.repeats)
-        br_s = median_seconds(n, k, "bb", args.repeats)
+        dp_s = median_seconds(n, k, "dp")
+        br_s = median_seconds(n, k, "bb")
         rows.append({"n": n, "k": k, "dp_s": round(dp_s, 6), "br_s": round(br_s, 6)})
         print(f"({n},{k}) dp {dp_s:.4f}s  branch-reduce {br_s:.4f}s", flush=True)
 
@@ -92,7 +89,9 @@ def main() -> int:
     print(f"_DP_COST = {constants['dp_cost']:.2g}")
     print(f"_BR_COST = {constants['br_cost']:.2g}")
     print(f"_BR_RATE = {constants['br_rate']:.3g}")
-    record = {
+    print(f"_FIT_N_MAX = {max(GRID_NS)}")
+    record = json.loads(OUT.read_text()) if OUT.exists() else {}
+    record.update({
         "what": "median seconds of the forced window DP and branch-reduce per grid cell, "
                 "and the dispatch constants fitted from them",
         "machine": {
@@ -102,11 +101,11 @@ def main() -> int:
             "numpy": numpy.__version__,
             "platform": platform.platform(),
         },
-        "repeats": args.repeats,
+        "repeats": REPEATS,
         "grid": rows,
         "fit": constants,
-    }
-    args.out.write_text(json.dumps(record, indent=1) + "\n")
+    })
+    OUT.write_text(json.dumps(record, indent=1) + "\n")
     return 0
 
 

@@ -586,20 +586,21 @@ def maximum_independent_sets(g: AdjacencyGraph) -> list[frozenset[int]]:
 # finds no useful clique-cover bound on these cubic graphs (triangle-free
 # unless n = 3k), so its search tree grows about exponentially with the
 # vertex count; over the grid k moves its time far less than n does, and the
-# model leaves k out.
+# model leaves k out.  The grid ends at n = _FIT_N_MAX; past it the model is
+# not trusted and every k <= K_DP_DEFAULT stays on the DP.
 _DP_COST = 2.9e-9
 _BR_COST = 1.7e-3
 _BR_RATE = 0.0508
+_FIT_N_MAX = 121
 
 
 def _dp_is_cheaper(n: int, k: int) -> bool:
     """Whether "auto" should run the window DP rather than branch-reduce."""
     if k > K_DP_DEFAULT:
         return False
-    # compared as logarithms: exp(_BR_RATE * n) overflows a float for large n
-    log_dp = math.log(_DP_COST) + k * math.log(4) + math.log(n)
-    log_br = math.log(_BR_COST) + _BR_RATE * n
-    return log_dp <= log_br
+    if n > _FIT_N_MAX:
+        return True
+    return _DP_COST * 4**k * n <= _BR_COST * math.exp(_BR_RATE * n)
 
 
 def alpha(
@@ -623,9 +624,8 @@ def alpha(
     if strategy not in ("auto", "closed", "dp", "bb"):
         raise DomainError(f"unknown strategy {strategy!r}")
 
-    consult_closed = strategy == "closed" or (strategy == "auto" and not want_witness)
-    cf = _bounds.exact_closed_form(n, k) if consult_closed else None
-    if cf is not None:
+    cf = _bounds.exact_closed_form(n, k)
+    if cf is not None and (strategy == "closed" or (strategy == "auto" and not want_witness)):
         return ExactResult(cf.value, "closed-form", None, time.perf_counter() - start)
     if strategy == "closed":
         raise DomainError(f"no closed form applies to (n={n}, k={k})")
@@ -634,7 +634,5 @@ def alpha(
         return alpha_window_dp(n, k, want_witness=want_witness, deadline=deadline)
 
     hint = max((b.value for b in _bounds.lower_bounds(n, k)), default=0)
-    # a closed form consulted above would have answered already
-    if not consult_closed and (cf := _bounds.exact_closed_form(n, k)) is not None:
-        hint = max(hint, cf.value)
+    hint = max(hint, cf.value if cf else 0)
     return alpha_branch_reduce(adjacency(g), lower_hint=hint, deadline=deadline)

@@ -17,6 +17,7 @@ from petersen_alpha import (
     maximum_independent_sets,
     petersen_graph,
 )
+from petersen_alpha.solver import _dp_is_cheaper
 
 
 def cycle(m: int) -> AdjacencyGraph:
@@ -123,6 +124,10 @@ def test_dispatch_routes(reference_alpha):
     assert r.method == "window-dp" and r.value == 190
     r = alpha(2000, 8, want_witness=True)
     assert r.method == "window-dp" and r.value == 1875
+    # past the fit grid (n > 121) k <= 12 stays on the DP, although the
+    # extrapolated model would send (151,12) to branch-reduce
+    assert not _dp_is_cheaper(121, 12) and _dp_is_cheaper(151, 12)
+    assert not _dp_is_cheaper(151, 13)
 
 
 def test_auto_matches_reference_for_k_9_to_12(reference_alpha):
