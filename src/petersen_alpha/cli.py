@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Subcommands: alpha, bounds, table, conjecture, decompose, construct.
-Exit codes: 0 success, 1 usage or domain error, 2 verification or
+Exit codes: 0 success, 1 usage, domain or file error, 2 verification or
 consistency failure, 3 timeout.
 """
 
@@ -190,7 +190,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except DomainError as exc:
+    except (DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ConsistencyError as exc:

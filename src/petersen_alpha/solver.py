@@ -2,13 +2,13 @@
 
 Three independent routes compute alpha(P(n,k)):
 
-* a window dynamic program that sweeps the spoke columns once around the
-  ring.  Its state is the membership bit of the previous outer vertex plus a
-  k-bit window holding the last k inner-vertex bits, so for fixed k the run
-  time is linear in n.  The cycle is closed by enumerating every boundary
-  state, seeding the sweep with it, and accepting only runs that return to
-  their seed.  All boundary rows are swept simultaneously as one numpy value
-  table, which keeps the 4^(k+1) worst-case work in vectorized code.
+* a window dynamic program, the paper's O(n) algorithm for fixed k.  Its
+  state is the membership bit of the previous outer vertex plus a k-bit
+  window of the last k inner-vertex bits.  One column sweep (_sweep) carries
+  a table of such states around the ring for every boundary state at once,
+  in vectorized numpy; the cycle is closed by accepting only runs that
+  return to their seed.  The same sweep builds the 64-column transfer
+  matrix used for small k and re-runs the winning seed for a witness.
 
 * a branch-and-reduce search on arbitrary graphs: isolated and degree-1
   vertices are taken greedily, degree-2 vertices are folded (or taken when
@@ -16,8 +16,8 @@ Three independent routes compute alpha(P(n,k)):
   separately, and branching picks a maximum-degree vertex (lowest index on
   ties) under a greedy clique-cover upper bound.
 
-* a tiny exhaustive oracle (memoized subset recursion, at most 32 vertices)
-  that the test suite uses as ground truth.
+* a tiny exhaustive oracle (one memoized subset recursion, at most 32
+  vertices) that the test suite uses as ground truth.
 
 All engines return the same values.  The dispatcher answers from a closed
 form when one applies, and otherwise runs whichever of the DP and
@@ -27,6 +27,7 @@ first (the DP only for k <= K_DP_DEFAULT).
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 import time
@@ -78,18 +79,26 @@ def _check_deadline(deadline: float | None) -> None:
 # closes the cycle.
 #
 # States (u_bit=1, odd w) violate the spoke at their own column, so no
-# transition ever writes them; the value tables keep them at the sentinel,
-# which also lets the column step run without clearing anything.
+# transition ever writes them; they stay at the sentinel (or, after a block
+# product, as far below every real total), so no table is ever cleared.
+# _sweep is the one column loop: it builds the transfer matrix, runs each seed
+# chunk (past the 64-column blocks for k <= _SMALL_K) and the witness row.
 
 
-def _dp_buffers(rows: int, k: int, n: int):
-    """Value tables and temporaries; int16 when the values surely fit."""
-    dtype = np.int16 if n <= 8000 else np.int32
+def _dp_tables(seeds: np.ndarray, k: int, columns: int):
+    """Value tables V (row i at 0 in state seeds[i], all else at the sentinel)
+    and NV, the step temporaries, and the index of the seed entries.  Entries
+    are int16 when `columns` columns surely fit, except that the k <= _SMALL_K
+    transfer-matrix products need int32."""
+    rows = len(seeds)
+    dtype = np.int16 if k > _SMALL_K and columns <= 8000 else np.int32
     neg = -20000 if dtype == np.int16 else _NEG
     V = np.full((rows, 2, 1 << k), neg, dtype=dtype)
     NV = np.full_like(V, neg)
     tmp = tuple(np.empty((rows, 1 << (k - 1)), dtype=dtype) for _ in range(3))
-    return V, NV, tmp, neg
+    idx = (np.arange(rows), seeds >> k, seeds & ((1 << k) - 1))
+    V[idx] = 0
+    return V, NV, tmp, idx
 
 
 def _dp_column_step(V: np.ndarray, NV: np.ndarray, tmp: tuple[np.ndarray, ...], half: int) -> None:
@@ -104,6 +113,20 @@ def _dp_column_step(V: np.ndarray, NV: np.ndarray, tmp: tuple[np.ndarray, ...], 
     # (take both) is the spoke violation; NV[:, 1, 1::2] stays at the sentinel
 
 
+def _sweep(V: np.ndarray, NV: np.ndarray, tmp: tuple[np.ndarray, ...], columns: int,
+           deadline: float | None, history: list[np.ndarray] | None = None) -> np.ndarray:
+    """V after `columns` more spoke columns, with NV as the other buffer; a
+    given `history` gets a copy of the table after each column."""
+    half = V.shape[2] // 2
+    for _ in range(columns):
+        _check_deadline(deadline)
+        _dp_column_step(V, NV, tmp, half)
+        V, NV = NV, V
+        if history is not None:
+            history.append(V.copy())
+    return V
+
+
 def _boundary_states(k: int) -> np.ndarray:
     """Seed states, skipping those violating the u_{n-1} v_{n-1} spoke."""
     states = np.arange(1 << (k + 1), dtype=np.int64)
@@ -112,6 +135,8 @@ def _boundary_states(k: int) -> np.ndarray:
     return states[~((ub == 1) & (newest == 1))]
 
 
+# For k <= _SMALL_K the value sweep takes _BLOCK columns at a time through a
+# transfer matrix: (2000,4) takes 3.1 ms this way and 36.7 ms by columns.
 _BLOCK = 64
 _SMALL_K = 5
 
@@ -119,53 +144,35 @@ _SMALL_K = 5
 def _transfer_block(k: int) -> np.ndarray:
     """Best gain over _BLOCK consecutive columns between every state pair.
 
-    Sixteen per-column sweeps from the identity seeding give the 16-column
-    operator; squaring it twice (max-plus) composes it to _BLOCK = 64 columns.
-    Either way it encodes exactly the per-column transition semantics.
+    Sixteen columns swept from the identity seeding (row s starts in state s)
+    give the 16-column operator; squaring it twice (max-plus) composes it to
+    _BLOCK = 64 columns, at a quarter of the column steps.
     """
     S = 1 << (k + 1)
-    mask = (1 << k) - 1
-    V = np.full((S, 2, 1 << k), _NEG, dtype=np.int32)
-    states = np.arange(S)
-    V[states, states >> k, states & mask] = 0
-    NV = np.full_like(V, _NEG)
-    tmp = tuple(np.empty((S, 1 << (k - 1)), dtype=np.int32) for _ in range(3))
-    for _ in range(16):
-        _dp_column_step(V, NV, tmp, 1 << (k - 1))
-        V, NV = NV, V
-    M = V.reshape(S, S)
+    V, NV, tmp, _ = _dp_tables(np.arange(S), k, _BLOCK)
+    M = _sweep(V, NV, tmp, 16, None).reshape(S, S)
     for _ in range(2):  # 16 -> 32 -> 64 columns
         M = np.max(M[:, :, None] + M[None, :, :], axis=1)
         np.maximum(M, _NEG, out=M)
     return M
 
 
-def _sweep_small_k(n: int, k: int, seeds: np.ndarray, deadline: float | None) -> np.ndarray:
-    """Value sweep for small k: blocks of _BLOCK columns go through the
-    precomputed transfer matrix, the remainder through per-column steps.
-    Returns the accepted total for every seed."""
-    S = 1 << (k + 1)
+def _final_values(n: int, k: int, seeds: np.ndarray, deadline: float | None) -> np.ndarray:
+    """Accepted total for every seed: the value of the run that starts in the
+    seed state and, after all n columns, returns to it."""
     rows = len(seeds)
-    M = _transfer_block(k)
-    V = np.full((rows, S), _NEG, dtype=np.int32)
-    V[np.arange(rows), seeds] = 0
-    W = np.empty_like(V)
-    blocks, rem = divmod(n, _BLOCK)
-    for _ in range(blocks):
-        _check_deadline(deadline)
-        np.max(V[:, :, None] + M[None, :, :], axis=1, out=W)
-        np.maximum(W, _NEG, out=W)  # keep unreachable entries from drifting down
-        V, W = W, V
-    if rem:
-        _check_deadline(deadline)
-        V3 = V.reshape(rows, 2, 1 << k)
-        NV = np.full_like(V3, _NEG)
-        tmp = tuple(np.empty((rows, 1 << (k - 1)), dtype=np.int32) for _ in range(3))
-        for _ in range(rem):
-            _dp_column_step(V3, NV, tmp, 1 << (k - 1))
-            V3, NV = NV, V3
-        V = V3.reshape(rows, S)
-    return V[np.arange(rows), seeds]
+    V, NV, tmp, idx = _dp_tables(seeds, k, n)
+    columns = n
+    if k <= _SMALL_K:
+        M = _transfer_block(k)
+        blocks, columns = divmod(n, _BLOCK)
+        for _ in range(blocks):
+            _check_deadline(deadline)
+            W = NV.reshape(rows, -1)
+            np.max(V.reshape(rows, -1)[:, :, None] + M[None, :, :], axis=1, out=W)
+            np.maximum(W, _NEG, out=W)  # keep unreachable entries from drifting down
+            V, NV = NV, V
+    return _sweep(V, NV, tmp, columns, deadline)[idx]
 
 
 def alpha_window_dp(
@@ -173,57 +180,28 @@ def alpha_window_dp(
     k: int,
     *,
     want_witness: bool = False,
-    k_cap: int = K_DP_DEFAULT,
     deadline: float | None = None,
 ) -> ExactResult:
     """Exact alpha(P(n,k)) via the column-sweep DP; linear in n for fixed k."""
     petersen_graph(n, k)
-    if k > k_cap:
-        raise DomainError(f"window DP capped at k <= {k_cap}, got k={k}")
+    if k > K_DP_DEFAULT:
+        raise DomainError(f"window DP capped at k <= {K_DP_DEFAULT}, got k={k}")
     start = time.perf_counter()
     states = _boundary_states(k)
-
-    if k <= _SMALL_K:
-        finals = _sweep_small_k(n, k, states, deadline)
-        i = int(np.argmax(finals))
-        best, best_state = int(finals[i]), int(states[i])
-        if best < 0:
-            raise InternalError("window DP found no consistent boundary state")
-        witness = None
-        if want_witness:
-            witness = _dp_witness(n, k, best_state, best, deadline)
-        return ExactResult(best, "window-dp", witness, time.perf_counter() - start)
-
-    half = 1 << (k - 1)
     # 2^18 states per chunk: each value table is 0.5 MB of int16 and stays
     # in cache across the n columns; every k <= 8 is still a single chunk
     chunk_rows = max(1, (1 << 18) >> (k + 1))
-
-    best = -1
-    best_state = 0
-    for lo in range(0, len(states), chunk_rows):
-        seeds = states[lo : lo + chunk_rows]
-        rows = len(seeds)
-        ub_idx = (seeds >> k).astype(np.intp)
-        w_idx = (seeds & ((1 << k) - 1)).astype(np.intp)
-        V, NV, tmp, _ = _dp_buffers(rows, k, n)
-        V[np.arange(rows), ub_idx, w_idx] = 0
-        for _ in range(n):
-            _check_deadline(deadline)
-            _dp_column_step(V, NV, tmp, half)
-            V, NV = NV, V
-        finals = V[np.arange(rows), ub_idx, w_idx]
-        i = int(np.argmax(finals))
-        if int(finals[i]) > best:
-            best = int(finals[i])
-            best_state = int(seeds[i])
-
+    finals = np.concatenate([
+        _final_values(n, k, states[lo : lo + chunk_rows], deadline)
+        for lo in range(0, len(states), chunk_rows)
+    ])
+    i = int(np.argmax(finals))
+    best = int(finals[i])
     if best < 0:
         raise InternalError("window DP found no consistent boundary state")
-
     witness = None
     if want_witness:
-        witness = _dp_witness(n, k, best_state, best, deadline)
+        witness = _dp_witness(n, k, int(states[i]), best, deadline)
     return ExactResult(best, "window-dp", witness, time.perf_counter() - start)
 
 
@@ -233,46 +211,30 @@ def _dp_witness(n: int, k: int, seed: int, value: int, deadline: float | None) -
     Ties are broken toward excluding vertices: the backtrack scans candidate
     predecessor states lowest-first, so excluded bits win over included ones.
     """
-    half = 1 << (k - 1)
     mask = (1 << k) - 1
-    V, NV, tmp, _ = _dp_buffers(1, k, n)
-    V[0, seed >> k, seed & mask] = 0
+    V, NV, tmp, _ = _dp_tables(np.array([seed]), k, n)
     history = [V.copy()]
-    for _ in range(n):
-        _check_deadline(deadline)
-        _dp_column_step(V, NV, tmp, half)
-        V, NV = NV, V
-        history.append(V.copy())
+    _sweep(V, NV, tmp, n, deadline, history)
 
     members: list[int] = []
     ub, w = seed >> k, seed & mask
     if history[n][0, ub, w] != value:
         raise InternalError("witness sweep disagrees with the DP value")
     for col in range(n - 1, -1, -1):
-        a = ub
-        b = w & 1
-        shifted = w >> 1
-        target = int(history[col + 1][0, ub, w])
-        found = False
-        for pub in (0, 1):
-            if a and pub:
-                continue
-            for pold in (0, 1):
-                if b and pold:
-                    continue
-                pw = shifted | (pold << (k - 1))
-                if int(history[col][0, pub, pw]) + a + b == target:
-                    if a:
-                        members.append(col)
-                    if b:
-                        members.append(n + col)
-                    ub, w = pub, pw
-                    found = True
-                    break
-            if found:
+        a, b = ub, w & 1
+        target = int(history[col + 1][0, ub, w]) - a - b
+        # taking u_col (v_col) rules out u_{col-1} (v_{col-k}) as a predecessor bit
+        for pub, pold in ((0, 0), (0, 1), (1, 0), (1, 1)):
+            pw = (w >> 1) | (pold << (k - 1))
+            if not (a and pub) and not (b and pold) and int(history[col][0, pub, pw]) == target:
                 break
-        if not found:
+        else:
             raise InternalError("witness backtrack lost the optimal path")
+        if a:
+            members.append(col)
+        if b:
+            members.append(n + col)
+        ub, w = pub, pw
     if (ub, w) != (seed >> k, seed & mask):
         raise InternalError("witness backtrack did not return to the seed state")
     if len(members) != value:
@@ -499,13 +461,16 @@ def alpha_branch_reduce(
     start = time.perf_counter()
     _check_deadline(deadline)
     masks = _graph_to_masks(g)
-    limit = 4 * g.vertex_count + 1000
-    if sys.getrecursionlimit() < limit:
-        sys.setrecursionlimit(limit)
     seed = _greedy_set(masks)
     target = max(len(seed), lower_hint) - 1
     ctr = _BranchCounter(deadline)
-    size, chosen = _best_set(dict(masks), target, g.vertex_count, ctr)
+    # the search recurses per branch and component; put the old limit back
+    old_limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(old_limit, 4 * g.vertex_count + 1000))
+    try:
+        size, chosen = _best_set(dict(masks), target, g.vertex_count, ctr)
+    finally:
+        sys.setrecursionlimit(old_limit)
     if chosen is None:
         # a valid hint can never exceed the optimum, and the greedy seed is a
         # real independent set, so reaching this means the hint was unsound
@@ -521,41 +486,33 @@ def alpha_branch_reduce(
 # ---------------------------------------------------------------------------
 
 
-def _oracle_masks(g: AdjacencyGraph) -> list[int]:
+def _oracle(g: AdjacencyGraph):
+    """Neighbour masks of g and f(mask), the memoized alpha of the subgraph
+    induced by `mask`; each level removes a vertex, so f recurses at most 33
+    frames deep (<= 32 vertices)."""
     if g.vertex_count > _ORACLE_CAP:
         raise DomainError(f"oracle capped at {_ORACLE_CAP} vertices, got {g.vertex_count}")
-    return [sum(1 << u for u in g.neighbors[v]) for v in range(g.vertex_count)]
+    nbr = [sum(1 << u for u in g.neighbors[v]) for v in range(g.vertex_count)]
+
+    @functools.cache
+    def f(mask: int) -> int:
+        if mask == 0:
+            return 0
+        v = (mask & -mask).bit_length() - 1
+        return max(f(mask & ~(1 << v)), 1 + f(mask & ~(nbr[v] | (1 << v))))
+
+    return nbr, f
 
 
 def alpha_oracle(g: AdjacencyGraph) -> int:
     """Ground-truth alpha by memoized subset recursion (<= 32 vertices)."""
-    nbr = _oracle_masks(g)
-    memo: dict[int, int] = {0: 0}
-
-    def f(mask: int) -> int:
-        if mask in memo:
-            return memo[mask]
-        v = (mask & -mask).bit_length() - 1
-        res = max(f(mask & ~(1 << v)), 1 + f(mask & ~(nbr[v] | (1 << v))))
-        memo[mask] = res
-        return res
-
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), 4 * g.vertex_count + 1000))
+    _, f = _oracle(g)
     return f((1 << g.vertex_count) - 1)
 
 
 def maximum_independent_sets(g: AdjacencyGraph) -> list[frozenset[int]]:
     """Every maximum independent set, by exhaustive recursion (<= 32 vertices)."""
-    nbr = _oracle_masks(g)
-    memo: dict[int, int] = {0: 0}
-
-    def f(mask: int) -> int:
-        if mask in memo:
-            return memo[mask]
-        v = (mask & -mask).bit_length() - 1
-        res = max(f(mask & ~(1 << v)), 1 + f(mask & ~(nbr[v] | (1 << v))))
-        memo[mask] = res
-        return res
+    nbr, f = _oracle(g)
 
     def collect(mask: int) -> list[frozenset[int]]:
         if mask == 0:
@@ -568,9 +525,7 @@ def maximum_independent_sets(g: AdjacencyGraph) -> list[frozenset[int]]:
             out.extend(s | {v} for s in collect(mask & ~(nbr[v] | (1 << v))))
         return out
 
-    full = (1 << g.vertex_count) - 1
-    f(full)
-    return collect(full)
+    return collect((1 << g.vertex_count) - 1)
 
 
 # ---------------------------------------------------------------------------

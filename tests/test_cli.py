@@ -73,6 +73,13 @@ def test_table_writes_file_and_cache(tmp_path, capsys):
     assert code == 0 and out_path.read_text() == text
 
 
+def test_table_file_error_exit_1(tmp_path, capsys):
+    missing = tmp_path / "missing"
+    for flag in ("--cache", "--out"):
+        code, _, err = run(capsys, "table", "--n-max", "6", flag, str(missing / "c.jsonl"))
+        assert code == 1 and err.startswith("error:") and str(missing) in err, flag
+
+
 def test_table_timeout_exit_3(tmp_path, capsys):
     code, out, err = run(capsys, "table", "--n-max", "13", "--budget-secs", "1e-9",
                          "--out", str(tmp_path / "t.csv"))

@@ -1,3 +1,4 @@
+import sys
 import time
 
 import pytest
@@ -38,6 +39,8 @@ def test_oracle_basics():
 def test_oracle_cap():
     with pytest.raises(DomainError):
         alpha_oracle(edgeless(33))
+    with pytest.raises(DomainError):
+        maximum_independent_sets(edgeless(33))
 
 
 def test_maximum_independent_sets_enumeration():
@@ -54,8 +57,6 @@ def test_window_dp_examples(n, k, expected):
 def test_window_dp_cap():
     with pytest.raises(DomainError):
         alpha_window_dp(40, 13)
-    # a raised cap admits larger k
-    assert alpha_window_dp(29, 13, k_cap=13).value > 0
 
 
 def test_branch_reduce_examples():
@@ -78,13 +79,27 @@ def test_branch_reduce_deterministic():
     assert r1.value == r2.value and r1.witness == r2.witness
 
 
-def test_dp_witness_valid_and_deterministic():
-    g = adjacency(petersen_graph(17, 6))
-    r1 = alpha_window_dp(17, 6, want_witness=True)
-    r2 = alpha_window_dp(17, 6, want_witness=True)
+# k <= 5 goes through 64-column transfer blocks: n below one block, past one, past two
+@pytest.mark.parametrize("n,k", [(17, 6), (11, 4), (70, 3), (131, 5)])
+def test_dp_witness_valid_and_deterministic(n, k):
+    g = adjacency(petersen_graph(n, k))
+    r1 = alpha_window_dp(n, k, want_witness=True)
+    r2 = alpha_window_dp(n, k, want_witness=True)
     assert r1.witness == r2.witness
     assert len(r1.witness) == r1.value
     assert is_independent(g, r1.witness)
+
+
+def test_solvers_restore_recursion_limit():
+    before = sys.getrecursionlimit()
+    try:
+        sys.setrecursionlimit(1500)
+        assert alpha_branch_reduce(edgeless(600)).value == 600  # asks for 3400
+        assert sys.getrecursionlimit() == 1500
+        assert alpha_oracle(edgeless(32)) == 32
+        assert sys.getrecursionlimit() == 1500
+    finally:
+        sys.setrecursionlimit(before)
 
 
 def test_engines_agree_small_grid(reference_alpha):
