@@ -191,6 +191,23 @@ def is_independent(g: AdjacencyGraph, vertices: Iterable[int]) -> bool:
     return not any(w in s for v in s for w in g.neighbors[v])
 
 
+def petersen_independent(n: int, k: int, vertices: Iterable[int]) -> bool:
+    """is_independent on P(n,k) without building it: each member checks its
+    outer edge u_i u_{i+1} and spoke u_i v_i, or its chord v_i v_{i+k}."""
+    petersen_graph(n, k)
+    s = set(vertices)
+    for v in s:
+        if not 0 <= v < 2 * n:
+            raise DomainError(f"vertex {v} out of range for graph on {2 * n} vertices")
+    for v in s:
+        if v < n:
+            if (v + 1) % n in s or n + v in s:
+                return False
+        elif n + (v - n + k) % n in s:
+            return False
+    return True
+
+
 def violating_edges(g: AdjacencyGraph, vertices: Iterable[int]) -> list[tuple[int, int]]:
     """All edges with both endpoints in the set (empty iff independent)."""
     s = _check_vertices(g, vertices)

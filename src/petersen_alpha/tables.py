@@ -15,6 +15,7 @@ odd-even) or "table-only" when only the computed table vouches for it.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import logging
 import time
@@ -125,30 +126,26 @@ def generate_table(
 ) -> list[TableCell]:
     """Compute every table cell up to n_max, reusing and extending the cache.
 
-    Cells run in a worker pool when jobs > 1; the cache is written only by
-    this coordinating process, and the returned list is always sorted by
-    (n, k) so the rendered output is deterministic.
+    Cells run in a worker pool when jobs > 1.  Either way each cell is
+    appended to the cache as it arrives, in table order, so a crash keeps
+    every cell finished before it; the cache is written only by this
+    coordinating process, and the returned list is always sorted by (n, k)
+    so the rendered output is deterministic.
     """
     wanted = table_cells(n_max)
     cached = cache_load(cache_path) if cache_path else {}
     done = {key: cached[key] for key in wanted if key in cached}
-    todo = [key for key in wanted if key not in done]
+    work = [(n, k, budget_secs) for n, k in wanted if (n, k) not in done]
 
-    if todo:
-        work = [(n, k, budget_secs) for n, k in todo]
-        if jobs > 1:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                fresh = list(pool.map(_compute_cell, work))
-        else:
-            fresh = []
-            for i, item in enumerate(work):
-                fresh.append(_compute_cell(item))
-                if progress and (i + 1) % 50 == 0:
-                    log.info("computed %d/%d cells", i + 1, len(work))
-        for cell in fresh:
-            done[(cell.n, cell.k)] = cell
-            if cache_path is not None and cell.method != "timeout":
-                cache_append(cache_path, cell)
+    if work:
+        with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else contextlib.nullcontext() as pool:
+            fresh = pool.map(_compute_cell, work) if pool else map(_compute_cell, work)
+            for i, cell in enumerate(fresh, start=1):
+                done[(cell.n, cell.k)] = cell
+                if cache_path is not None and cell.method != "timeout":
+                    cache_append(cache_path, cell)
+                if progress and i % 50 == 0:
+                    log.info("computed %d/%d cells", i, len(work))
 
     return [done[key] for key in wanted]
 

@@ -16,7 +16,7 @@ from petersen_alpha import (
     segment_subgraph,
     segment_vertices,
 )
-from petersen_alpha.graph import Ring, violating_edges
+from petersen_alpha.graph import Ring, petersen_independent, violating_edges
 
 valid_nk = st.integers(min_value=1, max_value=12).flatmap(
     lambda k: st.tuples(st.integers(min_value=2 * k + 1, max_value=60), st.just(k))
@@ -167,3 +167,32 @@ def test_adjacency_graph_validates():
         AdjacencyGraph(1, ((0,),))  # self-loop
     with pytest.raises(DomainError):
         AdjacencyGraph.from_edges(2, [(0, 2)])
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_petersen_independent_matches_adjacency(data):
+    n, k = data.draw(valid_nk)
+    g = adjacency(petersen_graph(n, k))
+    s = data.draw(st.sets(st.integers(min_value=0, max_value=2 * n - 1), max_size=n))
+    assert petersen_independent(n, k, s) == is_independent(g, s)
+    # an independent set plus the two ends of one wrap-around edge (outer
+    # u_{n-1} u_0, or an inner chord v_i v_{i+k-n}) breaks only that edge
+    i = data.draw(st.integers(min_value=n - k, max_value=n - 1))
+    edge = data.draw(st.sampled_from([(0, n - 1), (n + (i + k) % n, n + i)]))
+    blocked = set(edge).union(*(g.neighbors[v] for v in edge))
+    chosen: set[int] = set()
+    for v in sorted(s - blocked):
+        if not chosen.intersection(g.neighbors[v]):
+            chosen.add(v)
+    assert petersen_independent(n, k, chosen) and is_independent(g, chosen)
+    broken = chosen | set(edge)
+    assert violating_edges(g, broken) == [edge]
+    assert not petersen_independent(n, k, broken)
+
+
+def test_petersen_independent_rejects_bad_input():
+    with pytest.raises(DomainError):
+        petersen_independent(5, 2, [10])
+    with pytest.raises(DomainError):
+        petersen_independent(4, 2, [])

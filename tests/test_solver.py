@@ -1,3 +1,4 @@
+import hashlib
 import sys
 import time
 
@@ -18,7 +19,7 @@ from petersen_alpha import (
     maximum_independent_sets,
     petersen_graph,
 )
-from petersen_alpha.solver import _dp_is_cheaper
+from petersen_alpha.solver import _dp_is_cheaper, _transfer_block
 
 
 def cycle(m: int) -> AdjacencyGraph:
@@ -88,6 +89,34 @@ def test_dp_witness_valid_and_deterministic(n, k):
     assert r1.witness == r2.witness
     assert len(r1.witness) == r1.value
     assert is_independent(g, r1.witness)
+
+
+# Pins every witness bit for bit: DP cells below one 64-column block, past
+# whole blocks and not a multiple of 64, several checkpoint segments for
+# k = 6, 7 and 8, multi-chunk k = 9 and 10, and three branch-reduce cells.
+WITNESS_DIGEST_DP = [(11, 4), (17, 6), (30, 7), (37, 3), (70, 3), (100, 2), (129, 1), (131, 5),
+                     (2000, 4), (100, 6), (50, 7), (41, 8), (1000, 8), (200, 9), (200, 10)]
+WITNESS_DIGEST_BR = [(19, 7), (23, 9), (29, 13)]
+WITNESS_DIGEST = "cc42787671c6e70c25fc08a0c61c09143c413fb63c454d231d642da5603202ec"
+
+
+def test_witness_digest():
+    h = hashlib.sha256()
+    for n, k in WITNESS_DIGEST_DP:
+        r = alpha_window_dp(n, k, want_witness=True)
+        h.update(f"dp {n} {k} {r.value}: {' '.join(map(str, r.witness))}\n".encode())
+    for n, k in WITNESS_DIGEST_BR:
+        r = alpha_branch_reduce(adjacency(petersen_graph(n, k)))
+        h.update(f"br {n} {k} {r.value}: {' '.join(map(str, r.witness))}\n".encode())
+    assert h.hexdigest() == WITNESS_DIGEST
+
+
+def test_transfer_block_is_cached_and_read_only():
+    m = _transfer_block(4)
+    assert _transfer_block(4) is m
+    assert not m.flags.writeable
+    with pytest.raises(ValueError):
+        m[0, 0] = 0
 
 
 def test_solvers_restore_recursion_limit():

@@ -1,5 +1,6 @@
 import io
 import json
+import logging
 
 import pytest
 
@@ -111,6 +112,20 @@ def test_warm_cache_reused(tmp_path):
     assert first == second
     # cache contains every cell exactly once
     assert len(cache_load(path)) == len(first)
+
+
+def test_parallel_table_streams_cache_like_serial(tmp_path, caplog):
+    def records(path):
+        return [(r["n"], r["k"], r["alpha"], r["method"])
+                for r in map(json.loads, path.read_text().splitlines())]
+
+    serial, parallel = tmp_path / "serial.jsonl", tmp_path / "parallel.jsonl"
+    generate_table(16, cache_path=serial, budget_secs=None)
+    with caplog.at_level(logging.INFO, logger="petersen_alpha.tables"):
+        generate_table(16, cache_path=parallel, jobs=2, budget_secs=None, progress=True)
+    assert len(records(serial)) == 54
+    assert records(parallel) == records(serial)
+    assert "computed 50/54 cells" in caplog.text
 
 
 def test_timeout_cells_are_explicit(tmp_path):
