@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import logging
 import sys
 from pathlib import Path
 
@@ -70,13 +71,23 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    cells = tables.generate_table(
-        args.n_max,
-        cache_path=args.cache,
-        jobs=args.jobs,
-        budget_secs=args.budget_secs,
-        progress=True,
-    )
+    # progress lines go to stderr while the table is computed; the package
+    # logger is left as it was found, and the root logger is not touched
+    logger = logging.getLogger("petersen_alpha")
+    handler, level = logging.StreamHandler(sys.stderr), logger.level
+    logger.addHandler(handler)
+    logger.setLevel(logging.INFO)
+    try:
+        cells = tables.generate_table(
+            args.n_max,
+            cache_path=args.cache,
+            jobs=args.jobs,
+            budget_secs=args.budget_secs,
+            progress=True,
+        )
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
     if args.out:
         with Path(args.out).open("w", newline="") as f:
             tables.write_table_csv(cells, f)

@@ -14,9 +14,9 @@ Three independent routes compute alpha(P(n,k)):
 
 * a branch-and-reduce search on arbitrary graphs: isolated and degree-1
   vertices are taken greedily, degree-2 vertices are folded (or taken when
-  their neighborhood is a triangle), connected components are solved
-  separately, and branching picks a maximum-degree vertex (lowest index on
-  ties) under a greedy clique-cover upper bound.
+  their neighborhood is a triangle), and branching picks a maximum-degree
+  vertex (lowest index on ties), excluding it first, under a greedy
+  clique-cover upper bound.
 
 * a tiny exhaustive oracle (one memoized subset recursion, at most 32
   vertices) that the test suite uses as ground truth.
@@ -366,25 +366,6 @@ def _unfold(chosen: set[int], picks: list[int], folds: list[tuple[int, int, int,
     return out
 
 
-def _components(adj: dict[int, int]) -> list[dict[int, int]]:
-    comps = []
-    seen = 0
-    for v in sorted(adj):
-        if (seen >> v) & 1:
-            continue
-        comp_mask = 1 << v
-        frontier = adj[v]
-        while frontier:
-            comp_mask |= frontier
-            nxt = 0
-            for u in _bits(frontier):
-                nxt |= adj[u]
-            frontier = nxt & ~comp_mask
-        seen |= comp_mask
-        comps.append({u: adj[u] for u in _bits(comp_mask)})
-    return comps
-
-
 def _clique_cover_bound(adj: dict[int, int]) -> int:
     """Greedy clique cover size; an admissible upper bound on alpha."""
     unassigned = 0
@@ -404,39 +385,15 @@ def _clique_cover_bound(adj: dict[int, int]) -> int:
     return count
 
 
-def _greedy_set(adj: dict[int, int]) -> set[int]:
-    """Deterministic min-degree greedy independent set (seed for pruning)."""
-    local = dict(adj)
-    chosen: set[int] = set()
-    while local:
-        v = min(local, key=lambda x: (local[x].bit_count(), x))
-        chosen.add(v)
-        for u in list(_bits(local[v])):
-            _remove_vertex(local, u)
-        _remove_vertex(local, v)
-    return chosen
-
-
-class _BranchCounter:
-    __slots__ = ("nodes", "deadline")
-
-    def __init__(self, deadline: float | None):
-        self.nodes = 0
-        self.deadline = deadline
-
-    def tick(self) -> None:
-        self.nodes += 1
-        if self.deadline is not None and self.nodes % 256 == 0:
-            _check_deadline(self.deadline)
-
-
-def _best_set(adj: dict[int, int], target: int, next_id: int, ctr: _BranchCounter) -> tuple[int, set[int] | None]:
+def _best_set(adj: dict[int, int], target: int, next_id: int,
+              deadline: float | None) -> tuple[int, set[int] | None]:
     """Best independent set if its size beats `target`, else (target, None).
 
     The None return guarantees alpha(adj) <= target, which makes the caller's
-    pruning sound.
+    pruning sound.  A set that is returned is the first maximum one in
+    exclusion-first search order, whatever `target` was.
     """
-    ctr.tick()
+    _check_deadline(deadline)
     picks: list[int] = []
     folds: list[tuple[int, int, int, int]] = []
     next_id = _reduce(adj, picks, folds, next_id)
@@ -445,21 +402,6 @@ def _best_set(adj: dict[int, int], target: int, next_id: int, ctr: _BranchCounte
     if not adj:
         if gain > target:
             return gain, _unfold(set(), picks, folds)
-        return target, None
-
-    comps = _components(adj)
-    if len(comps) > 1:
-        total = gain
-        merged: set[int] = set()
-        for comp in comps:
-            # returned sets only contain ids of the component itself, so
-            # sibling components cannot clash even though fold ids repeat
-            size, chosen = _best_set(comp, -1, next_id, ctr)
-            total += size
-            assert chosen is not None
-            merged |= chosen
-        if total > target:
-            return total, _unfold(merged, picks, folds)
         return target, None
 
     local_target = target - gain
@@ -471,12 +413,12 @@ def _best_set(adj: dict[int, int], target: int, next_id: int, ctr: _BranchCounte
 
     # exclude v first: ties then favor the exclusion branch
     without = {x: m & ~(1 << v) for x, m in adj.items() if x != v}
-    best_size, best_chosen = _best_set(without, local_target, next_id, ctr)
+    best_size, best_chosen = _best_set(without, local_target, next_id, deadline)
     found = best_chosen is not None
     sub_target = best_size if found else local_target
 
     with_v = {x: m & ~closed for x, m in adj.items() if not (closed >> x) & 1}
-    size2, chosen2 = _best_set(with_v, sub_target - 1, next_id, ctr)
+    size2, chosen2 = _best_set(with_v, sub_target - 1, next_id, deadline)
     if chosen2 is not None and size2 + 1 > sub_target:
         best_size, best_chosen, found = size2 + 1, chosen2 | {v}, True
 
@@ -494,26 +436,25 @@ def alpha_branch_reduce(
 ) -> ExactResult:
     """Exact alpha of an arbitrary simple graph by branch and reduce.
 
-    `lower_hint` must be a valid lower bound on alpha; it strengthens pruning
-    and an InternalError is raised if it turns out to exceed the optimum.
+    `lower_hint` must be a valid lower bound on alpha: the search starts by
+    looking for a set of at least that size, which prunes from the first
+    node, and an InternalError is raised if it turns out to exceed the
+    optimum.  The hint does not change which set is returned.  A disconnected
+    graph is searched whole, not component by component, so a union of
+    several copies of a hard graph costs far more than the copies apart.
     """
     start = time.perf_counter()
     _check_deadline(deadline)
-    masks = _graph_to_masks(g)
-    seed = _greedy_set(masks)
-    target = max(len(seed), lower_hint) - 1
-    ctr = _BranchCounter(deadline)
-    # the search recurses per branch and component; put the old limit back
+    # the search recurses once per branch; put the old limit back
     old_limit = sys.getrecursionlimit()
     sys.setrecursionlimit(max(old_limit, 4 * g.vertex_count + 1000))
     try:
-        size, chosen = _best_set(dict(masks), target, g.vertex_count, ctr)
+        size, chosen = _best_set(_graph_to_masks(g), lower_hint - 1, g.vertex_count, deadline)
     finally:
         sys.setrecursionlimit(old_limit)
     if chosen is None:
-        # a valid hint can never exceed the optimum, and the greedy seed is a
-        # real independent set, so reaching this means the hint was unsound
-        raise InternalError(f"lower bound hint {lower_hint} exceeds the optimum (alpha <= {target})")
+        # a search from lower_hint - 1 finds a set whenever alpha >= lower_hint
+        raise InternalError(f"lower bound hint {lower_hint} exceeds the optimum (alpha <= {lower_hint - 1})")
     witness = tuple(sorted(chosen))
     if len(witness) != size or not is_independent(g, witness):
         raise InternalError("branch-reduce produced an inconsistent witness")

@@ -1,7 +1,10 @@
+import io
 import json
+import logging
 
 import pytest
 
+from petersen_alpha import tables
 from petersen_alpha.cli import main
 
 
@@ -56,6 +59,18 @@ def test_table_csv_stdout(capsys):
     assert code == 0
     assert out.splitlines() == ["n,k,alpha,method", "5,1,4,closed-form", "5,2,4,closed-form",
                                 "6,1,6,closed-form", "6,2,4,closed-form"]
+
+
+def test_table_reports_progress_on_stderr(capsys):
+    logger = logging.getLogger("petersen_alpha")
+    handlers, level = list(logger.handlers), logger.level
+    code, out, err = run(capsys, "table", "--n-max", "16")
+    assert code == 0
+    assert "computed 50/54 cells" in err
+    expected = io.StringIO()
+    tables.write_table_csv(tables.generate_table(16), expected)
+    assert out == expected.getvalue()
+    assert logger.handlers == handlers and logger.level == level
 
 
 def test_table_writes_file_and_cache(tmp_path, capsys):

@@ -10,6 +10,7 @@ from petersen_alpha import (
     AdjacencyGraph,
     BudgetExceededError,
     DomainError,
+    InternalError,
     adjacency,
     alpha,
     alpha_branch_reduce,
@@ -80,6 +81,27 @@ def test_branch_reduce_deterministic():
     assert r1.value == r2.value and r1.witness == r2.witness
 
 
+def test_branch_reduce_disconnected_graph():
+    parts = [adjacency(petersen_graph(5, 2)), adjacency(petersen_graph(7, 2)), cycle(5)]
+    edges, offset = [], 0
+    for part in parts:
+        edges += [(a + offset, b + offset) for a, b in part.edges()]
+        offset += part.vertex_count
+    g = AdjacencyGraph.from_edges(offset, edges)
+    r = alpha_branch_reduce(g)
+    assert r.value == alpha_oracle(g) == 11
+    assert len(r.witness) == 11 and is_independent(g, r.witness)
+
+
+def test_branch_reduce_lower_hint_contract():
+    g = adjacency(petersen_graph(19, 7))
+    plain = alpha_branch_reduce(g)
+    hinted = alpha_branch_reduce(g, lower_hint=plain.value)
+    assert hinted.value == plain.value and hinted.witness == plain.witness
+    with pytest.raises(InternalError):
+        alpha_branch_reduce(g, lower_hint=plain.value + 1)
+
+
 # k <= 5 goes through 64-column transfer blocks: n below one block, past one, past two
 @pytest.mark.parametrize("n,k", [(17, 6), (11, 4), (70, 3), (131, 5)])
 def test_dp_witness_valid_and_deterministic(n, k):
@@ -93,11 +115,14 @@ def test_dp_witness_valid_and_deterministic(n, k):
 
 # Pins every witness bit for bit: DP cells below one 64-column block, past
 # whole blocks and not a multiple of 64, several checkpoint segments for
-# k = 6, 7 and 8, multi-chunk k = 9 and 10, and three branch-reduce cells.
+# k = 6, 7 and 8, multi-chunk k = 9 and 10, three branch-reduce cells, and
+# four cells that alpha() searches from its bounds hint and whose reduced
+# graph becomes disconnected during the search.
 WITNESS_DIGEST_DP = [(11, 4), (17, 6), (30, 7), (37, 3), (70, 3), (100, 2), (129, 1), (131, 5),
                      (2000, 4), (100, 6), (50, 7), (41, 8), (1000, 8), (200, 9), (200, 10)]
 WITNESS_DIGEST_BR = [(19, 7), (23, 9), (29, 13)]
-WITNESS_DIGEST = "cc42787671c6e70c25fc08a0c61c09143c413fb63c454d231d642da5603202ec"
+WITNESS_DIGEST_HINTED = [(71, 17), (73, 19), (75, 18), (77, 20)]
+WITNESS_DIGEST = "cd5c9fb609c10ff5a08fb1bd8bbd89683d50fb0d17a0f977cb031828d07a6838"
 
 
 def test_witness_digest():
@@ -108,6 +133,9 @@ def test_witness_digest():
     for n, k in WITNESS_DIGEST_BR:
         r = alpha_branch_reduce(adjacency(petersen_graph(n, k)))
         h.update(f"br {n} {k} {r.value}: {' '.join(map(str, r.witness))}\n".encode())
+    for n, k in WITNESS_DIGEST_HINTED:
+        r = alpha(n, k, "bb", want_witness=True)
+        h.update(f"bb {n} {k} {r.value}: {' '.join(map(str, r.witness))}\n".encode())
     assert h.hexdigest() == WITNESS_DIGEST
 
 
@@ -224,6 +252,20 @@ def test_deadline_triggers():
         alpha_window_dp(77, 12, deadline=deadline)
     with pytest.raises(BudgetExceededError):
         alpha_branch_reduce(adjacency(petersen_graph(77, 38)), deadline=deadline)
+
+
+# P(77,37) takes about 0.9 s by branch-reduce and (2000,10) about 4 s by the
+# DP (2-core machine, Python 3.11), so a deadline 50 ms ahead must expire
+# inside the search or the sweep.
+@pytest.mark.parametrize("solve", [
+    lambda deadline: alpha_branch_reduce(adjacency(petersen_graph(77, 37)), deadline=deadline),
+    lambda deadline: alpha_window_dp(2000, 10, deadline=deadline),
+], ids=["branch-reduce", "window-dp"])
+def test_deadline_expires_during_run(solve):
+    start = time.monotonic()
+    with pytest.raises(BudgetExceededError):
+        solve(start + 0.05)
+    assert time.monotonic() - start < 1.0
 
 
 def test_exact_result_fields():
