@@ -29,7 +29,7 @@ def main() -> int:
     start = time.perf_counter()
     cells = tables.generate_table(
         args.n_max, cache_path=args.cache, jobs=args.jobs,
-        budget_secs=args.budget_secs, progress=True,
+        budget_secs=args.budget_secs,
     )
     timeouts = [c for c in cells if c.method == "timeout"]
     print(f"{len(cells)} cells in {time.perf_counter() - start:.1f}s, {len(timeouts)} timeouts")

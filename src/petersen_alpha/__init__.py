@@ -8,7 +8,6 @@ from .graph import (
     GeneralizedPetersen,
     SegmentClass,
     SegmentKind,
-    Vertex,
     adjacency,
     classify_segment,
     is_independent,
@@ -39,7 +38,6 @@ __all__ = [
     "K_DP_DEFAULT",
     "SegmentClass",
     "SegmentKind",
-    "Vertex",
     "adjacency",
     "alpha",
     "alpha_branch_reduce",

@@ -83,7 +83,6 @@ def _cmd_table(args) -> int:
             cache_path=args.cache,
             jobs=args.jobs,
             budget_secs=args.budget_secs,
-            progress=True,
         )
     finally:
         logger.removeHandler(handler)
@@ -115,7 +114,7 @@ def _cmd_conjecture(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
-    deco = path_decomposition(args.n, args.k, allow_trivial=True)
+    deco = path_decomposition(args.n, args.k)
     payload = deco.to_dict(args.n, args.k)
     ok = True
     if args.validate:
@@ -133,8 +132,6 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_construct(args) -> int:
-    if args.k % 2 == 1 or args.k <= 2:
-        raise DomainError(f"explicit constructions exist only for even k > 2, got k={args.k}")
     if args.n % 2 == 0:
         witness = independent_set_even_even(args.n, args.k)
     else:

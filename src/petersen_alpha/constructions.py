@@ -23,30 +23,7 @@ from dataclasses import dataclass
 
 from .bounds import tiling_size_even_even, tiling_size_odd_even
 from .errors import DomainError, InternalError
-from .graph import (
-    GeneralizedPetersen,
-    Ring,
-    Vertex,
-    adjacency,
-    petersen_graph,
-    violating_edges,
-)
-
-
-@dataclass(frozen=True)
-class PatternSet:
-    """A segment-relative vertex pattern; indices are offsets from `base`."""
-
-    base: int
-    k: int
-    members: frozenset[Vertex]
-    flavor: str  # "type1" | "special2"
-
-    def embed(self, g: GeneralizedPetersen) -> frozenset[int]:
-        """Canonical codes of the pattern inside a concrete P(n,k)."""
-        if g.k != self.k:
-            raise DomainError(f"pattern built for k={self.k}, graph has k={g.k}")
-        return frozenset(v.encode(g.n) for v in self.members)
+from .graph import GeneralizedPetersen, adjacency, petersen_graph, violating_edges
 
 
 @dataclass(frozen=True)
@@ -55,7 +32,7 @@ class IndependentSetWitness:
     k: int
     members: frozenset[int]
     claimed_size: int
-    source: str  # "even-even-tiling" | "odd-even-tiling" | "pattern-tiling"
+    source: str  # "even-even-tiling" | "odd-even-tiling"
 
     def to_dict(self) -> dict:
         return {
@@ -81,23 +58,18 @@ def _require_even_k(k: int) -> None:
         raise DomainError(f"pattern requires even k > 2, got k={k}")
 
 
-def type1_pattern(k: int, t: int) -> PatternSet:
-    """The unique maximum independent set of a 2k-segment, anchored at t."""
+def type1_pattern(g: GeneralizedPetersen, t: int) -> frozenset[int]:
+    """Codes of the unique maximum independent set of the 2k-segment at t."""
+    k = g.k
     _require_even_k(k)
-    members = set()
-    for off in list(range(0, k - 1, 2)) + list(range(k + 1, 2 * k, 2)):
-        members.add(Vertex(Ring.OUTER, t + off))
-    for off in list(range(1, k, 2)) + list(range(k, 2 * k - 1, 2)):
-        members.add(Vertex(Ring.INNER, t + off))
-    return PatternSet(t, k, frozenset(members), "type1")
+    outer = list(range(0, k - 1, 2)) + list(range(k + 1, 2 * k, 2))
+    inner = list(range(1, k, 2)) + list(range(k, 2 * k - 1, 2))
+    return frozenset([g.outer(t + off) for off in outer] + [g.inner(t + off) for off in inner])
 
 
-def special2_pattern(k: int, t: int) -> PatternSet:
+def special2_pattern(g: GeneralizedPetersen, t: int) -> frozenset[int]:
     """type1_pattern minus u_t: the 2k-1 element tileable trace."""
-    _require_even_k(k)
-    full = type1_pattern(k, t)
-    members = full.members - {Vertex(Ring.OUTER, t)}
-    return PatternSet(t, k, frozenset(members), "special2")
+    return type1_pattern(g, t) - {g.outer(t)}
 
 
 def _outer_range(g: GeneralizedPetersen, start: int, stop: int) -> set[int]:
@@ -122,7 +94,7 @@ def independent_set_even_even(n: int, k: int) -> IndependentSetWitness:
     q, r = divmod(n, 2 * k)
     members: set[int] = set()
     for j in range(q):
-        members |= special2_pattern(k, r + 2 * k * j).embed(g)
+        members |= special2_pattern(g, r + 2 * k * j)
     if r <= k:
         members |= _outer_range(g, 1, r)
     else:
@@ -148,7 +120,7 @@ def independent_set_odd_even(n: int, k: int) -> IndependentSetWitness:
     boundary cases with a single full segment (q = 1, covering both r = 1 and
     1 < r < 2k) are built and verified like any other rather than assumed to
     work; if the index lists ever failed to verify there, this would raise
-    DomainError instead of returning a bad witness.
+    InternalError instead of returning a bad witness.
     """
     if n % 2 == 0 or k % 2 or k <= 2:
         raise DomainError(f"odd/even construction needs odd n, even k > 2, got ({n},{k})")
@@ -158,7 +130,7 @@ def independent_set_odd_even(n: int, k: int) -> IndependentSetWitness:
         raise InternalError(f"r = {r} cannot happen for odd n, even k")
     members: set[int] = set()
     for j in range(q - 1):
-        members |= special2_pattern(k, 2 * k + r + 2 * k * j).embed(g)
+        members |= special2_pattern(g, 2 * k + r + 2 * k * j)
     if r == 1:
         members |= _outer_range(g, 1, k)
         members |= _outer_range(g, k + 2, 2 * k + 1)

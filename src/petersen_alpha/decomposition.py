@@ -5,14 +5,13 @@ each later bag swaps one spoke pair for the next, alternating between the
 front end (retire the oldest leading pair, admit the next) and the back end
 (retire the newest trailing pair, admit the preceding one).  After
 n - 2k - 2 swaps the two windows meet, giving n - 2k - 1 bags of 4k+4
-vertices each, i.e. width 4k+3.  The construction self-validates; the
-n = 2k+1 degenerate case is only available behind an explicit flag because
-its single bag has width 2n-1 and says nothing useful.
+vertices each, i.e. width 4k+3.  Bag i is joined to bag i+1.  The
+construction self-validates.  For n = 2k+1 the windows already cover every
+vertex, so the result is a single bag of width 2n-1, flagged trivial.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
 from .errors import DomainError, InternalError
@@ -20,36 +19,13 @@ from .graph import AdjacencyGraph, adjacency, petersen_graph
 
 
 @dataclass(frozen=True)
-class TreeDecomposition:
+class PathDecomposition:
     bags: tuple[frozenset[int], ...]
-    tree: tuple[tuple[int, int], ...]
     trivial: bool = False
 
     def __post_init__(self) -> None:
         if not self.bags or any(not b for b in self.bags):
             raise DomainError("every bag must be nonempty")
-        m = len(self.bags)
-        for a, b in self.tree:
-            if not (0 <= a < m and 0 <= b < m):
-                raise DomainError(f"tree edge ({a},{b}) out of range")
-        if len(self.tree) != m - 1 or not self._connected():
-            raise DomainError("tree must be connected and acyclic")
-
-    def _connected(self) -> bool:
-        m = len(self.bags)
-        adj: list[list[int]] = [[] for _ in range(m)]
-        for a, b in self.tree:
-            adj[a].append(b)
-            adj[b].append(a)
-        seen = {0}
-        queue = deque([0])
-        while queue:
-            x = queue.popleft()
-            for y in adj[x]:
-                if y not in seen:
-                    seen.add(y)
-                    queue.append(y)
-        return len(seen) == m
 
     @property
     def width(self) -> int:
@@ -88,17 +64,12 @@ class ValidationReport:
         }
 
 
-def path_decomposition(n: int, k: int, *, allow_trivial: bool = False) -> TreeDecomposition:
-    """The width-4k+3 path decomposition of P(n,k) (requires n > 2k+1).
-
-    With allow_trivial, n = 2k+1 yields the flagged single-bag decomposition
-    instead of raising.
-    """
+def path_decomposition(n: int, k: int) -> PathDecomposition:
+    """The width-4k+3 path decomposition of P(n,k); for n = 2k+1, the
+    flagged single bag."""
     g = petersen_graph(n, k)
     if n == 2 * k + 1:
-        if allow_trivial:
-            return TreeDecomposition((frozenset(range(2 * n)),), (), trivial=True)
-        raise DomainError(f"path decomposition needs n > 2k+1; P({n},{k}) degenerates to one bag")
+        return PathDecomposition((frozenset(range(2 * n)),), trivial=True)
 
     def pair(i: int) -> frozenset[int]:
         return frozenset({g.outer(i), g.inner(i)})
@@ -124,14 +95,14 @@ def path_decomposition(n: int, k: int, *, allow_trivial: bool = False) -> TreeDe
             back_remove -= 1
             back_add -= 1
         bags.append(frozenset(current))
-    deco = TreeDecomposition(tuple(bags), tuple((i, i + 1) for i in range(m - 1)))
+    deco = PathDecomposition(tuple(bags))
     report = validate_decomposition(adjacency(g), deco)
     if not report.valid or deco.width != 4 * k + 3:
         raise InternalError(f"extrapolated decomposition invalid for ({n},{k}): {report.violations}")
     return deco
 
 
-def validate_decomposition(g: AdjacencyGraph, d: TreeDecomposition) -> ValidationReport:
+def validate_decomposition(g: AdjacencyGraph, d: PathDecomposition) -> ValidationReport:
     """Check the three decomposition axioms against g, listing violations."""
     violations: list[str] = []
 
@@ -155,26 +126,11 @@ def validate_decomposition(g: AdjacencyGraph, d: TreeDecomposition) -> Validatio
             edges_ok = False
             violations.append(f"edge {a}-{b} in no bag")
 
-    tree_adj: dict[int, list[int]] = {i: [] for i in range(len(d.bags))}
-    for a, b in d.tree:
-        tree_adj[a].append(b)
-        tree_adj[b].append(a)
     occurrences_ok = True
     for v in range(g.vertex_count):
-        nodes = set(bags_of.get(v, ()))
-        if len(nodes) <= 1:
-            continue
-        start = next(iter(nodes))
-        seen = {start}
-        queue = deque([start])
-        while queue:
-            x = queue.popleft()
-            for y in tree_adj[x]:
-                if y in nodes and y not in seen:
-                    seen.add(y)
-                    queue.append(y)
-        if seen != nodes:
+        idx = bags_of.get(v)
+        if idx and idx[-1] - idx[0] + 1 != len(idx):
             occurrences_ok = False
-            violations.append(f"bags of vertex {v} are disconnected in the tree")
+            violations.append(f"bags of vertex {v} are disconnected in the path")
 
     return ValidationReport(union_covers, edges_ok, occurrences_ok, d.width, violations)

@@ -60,31 +60,6 @@ class GeneralizedPetersen:
         return f"u{code}" if code < self.n else f"v{code - self.n}"
 
 
-class Ring(enum.Enum):
-    OUTER = "outer"
-    INNER = "inner"
-
-
-@dataclass(frozen=True)
-class Vertex:
-    """A vertex named by ring and index; converts to/from the canonical code."""
-
-    ring: Ring
-    index: int
-
-    def encode(self, n: int) -> int:
-        i = self.index % n
-        return i if self.ring is Ring.OUTER else n + i
-
-    @classmethod
-    def decode(cls, code: int, n: int) -> "Vertex":
-        if not 0 <= code < 2 * n:
-            raise DomainError(f"vertex code {code} out of range for 2n={2 * n}")
-        if code < n:
-            return cls(Ring.OUTER, code)
-        return cls(Ring.INNER, code - n)
-
-
 @dataclass(frozen=True)
 class AdjacencyGraph:
     """Immutable undirected graph as sorted adjacency lists."""

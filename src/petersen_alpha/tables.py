@@ -61,9 +61,10 @@ def table_cells(n_max: int) -> list[tuple[int, int]]:
 
 
 def cache_load(path: str | Path) -> dict[tuple[int, int], TableCell]:
-    """Load the JSONL cache; malformed lines (including a solved record
-    without alpha) are skipped with a warning, so their cells are computed
-    again; conflicting alpha values for one cell are a hard error."""
+    """Load the JSONL cache; malformed lines (including any record whose
+    n, k, alpha or elapsed_ms is not an integer, such as a timeout record)
+    are skipped with a warning, so their cells are computed again;
+    conflicting alpha values for one cell are a hard error."""
     out: dict[tuple[int, int], TableCell] = {}
     p = Path(path)
     if not p.exists():
@@ -75,13 +76,10 @@ def cache_load(path: str | Path) -> dict[tuple[int, int], TableCell]:
                 continue
             try:
                 rec = json.loads(line)
-                cell = TableCell(
-                    int(rec["n"]), int(rec["k"]),
-                    None if rec["alpha"] is None else int(rec["alpha"]),
-                    str(rec["method"]), int(rec["elapsed_ms"]),
-                )
-                if cell.alpha is None and cell.method != "timeout":
-                    raise ValueError("only a timeout record may lack alpha")
+                # checked, not converted: int() would read 4.7 as 4 and true as 1
+                if not all(type(rec[key]) is int for key in ("n", "k", "alpha", "elapsed_ms")):
+                    raise ValueError("n, k, alpha and elapsed_ms must be integers")
+                cell = TableCell(rec["n"], rec["k"], rec["alpha"], str(rec["method"]), rec["elapsed_ms"])
             except (json.JSONDecodeError, KeyError, TypeError, ValueError):
                 log.warning("%s:%d: skipping malformed cache line", p, lineno)
                 continue
@@ -122,7 +120,6 @@ def generate_table(
     cache_path: str | Path | None = None,
     jobs: int = 1,
     budget_secs: float | None = 120.0,
-    progress: bool = False,
 ) -> list[TableCell]:
     """Compute every table cell up to n_max, reusing and extending the cache.
 
@@ -144,7 +141,7 @@ def generate_table(
                 done[(cell.n, cell.k)] = cell
                 if cache_path is not None and cell.method != "timeout":
                     cache_append(cache_path, cell)
-                if progress and i % 50 == 0:
+                if i % 50 == 0:
                     log.info("computed %d/%d cells", i, len(work))
 
     return [done[key] for key in wanted]

@@ -147,7 +147,7 @@ def test_criterion_6_segment_pattern_uniqueness():
         sets = maximum_independent_sets(sub)
         assert len(sets) == 1, f"k={k}: expected a unique maximum set, got {len(sets)}"
         assert len(sets[0]) == 2 * k
-        assert {codes[i] for i in sets[0]} == set(type1_pattern(k, 0).embed(g))
+        assert {codes[i] for i in sets[0]} == type1_pattern(g, 0)
     elapsed = time.perf_counter() - start
     assert elapsed <= 60.0
     print(f"\nACCEPTANCE 6: PASS - segment alpha-sets unique and equal the pattern "

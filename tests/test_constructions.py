@@ -12,13 +12,12 @@ from petersen_alpha.constructions import (
     type1_pattern,
     verify_witness,
 )
-from petersen_alpha.graph import Ring, Vertex
 from petersen_alpha.solver import maximum_independent_sets
 
 
 def test_type1_pattern_k4_offsets():
     g = petersen_graph(24, 4)
-    emb = type1_pattern(4, 0).embed(g)
+    emb = type1_pattern(g, 0)
     outer = {0, 2, 5, 7}
     inner = {1, 3, 4, 6}
     assert emb == frozenset(outer | {24 + i for i in inner})
@@ -26,27 +25,30 @@ def test_type1_pattern_k4_offsets():
 
 def test_type1_pattern_shape():
     for k in (4, 6, 8):
-        p = type1_pattern(k, 3)
-        assert len(p.members) == 2 * k
-        assert sum(1 for v in p.members if v.ring == Ring.OUTER) == k
+        g = petersen_graph(6 * k, k)
+        p = type1_pattern(g, 3)
+        assert len(p) == 2 * k
+        assert sum(1 for v in p if v < g.n) == k
         # forced members: the last outer and the middle inner spoke
-        assert Vertex(Ring.OUTER, 3 + 2 * k - 1) in p.members
-        assert Vertex(Ring.INNER, 3 + k) in p.members
+        assert g.outer(3 + 2 * k - 1) in p
+        assert g.inner(3 + k) in p
 
 
 @pytest.mark.parametrize("k", [3, 2, 5, 1])
 def test_patterns_reject_odd_or_small_k(k):
+    g = petersen_graph(24, k)
     with pytest.raises(DomainError):
-        type1_pattern(k, 0)
+        type1_pattern(g, 0)
     with pytest.raises(DomainError):
-        special2_pattern(k, 0)
+        special2_pattern(g, 0)
 
 
 def test_special2_pattern_drops_anchor():
     k = 4
-    p1, p2 = type1_pattern(k, 5), special2_pattern(k, 5)
-    assert p2.members == p1.members - {Vertex(Ring.OUTER, 5)}
-    assert len(p2.members) == 2 * k - 1
+    g = petersen_graph(24, k)
+    p1, p2 = type1_pattern(g, 5), special2_pattern(g, 5)
+    assert p2 == p1 - {g.outer(5)}
+    assert len(p2) == 2 * k - 1
 
 
 def test_segment_alpha_set_unique_and_equals_pattern():
@@ -58,7 +60,7 @@ def test_segment_alpha_set_unique_and_equals_pattern():
     sets = maximum_independent_sets(sub)
     assert len(sets) == 1
     assert len(sets[0]) == 2 * k
-    assert {codes[i] for i in sets[0]} == set(type1_pattern(k, 0).embed(g))
+    assert {codes[i] for i in sets[0]} == type1_pattern(g, 0)
 
 
 def test_special2_tile_classifies_special2():
@@ -73,7 +75,7 @@ def test_special2_blocks_next_segment_head():
     """u_{t+2k} and v_{t+2k} are outside the pattern and adjacent to it."""
     k = 4
     g = petersen_graph(24, k)
-    emb = special2_pattern(k, 0).embed(g)
+    emb = special2_pattern(g, 0)
     adj = adjacency(g)
     head_u, head_v = g.outer(2 * k), g.inner(2 * k)
     assert head_u not in emb and head_v not in emb

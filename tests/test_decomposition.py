@@ -1,15 +1,14 @@
 import pytest
 
 from petersen_alpha import DomainError, adjacency, petersen_graph
-from petersen_alpha.decomposition import TreeDecomposition, path_decomposition, validate_decomposition
+from petersen_alpha.decomposition import PathDecomposition, path_decomposition, validate_decomposition
 
 
 def test_shapes_10_2():
     d = path_decomposition(10, 2)
     assert len(d.bags) == 5
     assert all(len(b) == 12 for b in d.bags)
-    assert d.width == 11
-    assert d.tree == ((0, 1), (1, 2), (2, 3), (3, 4))
+    assert d.width == 11 and not d.trivial
 
 
 def test_shapes_20_4():
@@ -18,10 +17,8 @@ def test_shapes_20_4():
 
 
 def test_degenerate_case():
-    with pytest.raises(DomainError):
-        path_decomposition(5, 2)
-    t = path_decomposition(5, 2, allow_trivial=True)
-    assert t.trivial and len(t.bags) == 1 and t.width == 9
+    t = path_decomposition(5, 2)
+    assert t.trivial and t.bags == (frozenset(range(10)),) and t.width == 9
 
 
 def test_validator_passes_constructed():
@@ -49,7 +46,7 @@ def test_validator_flags_missing_vertex_and_edge():
     g = adjacency(petersen_graph(10, 2))
     d = path_decomposition(10, 2)
     bags = tuple(b - {3} for b in d.bags)
-    report = validate_decomposition(g, TreeDecomposition(bags, d.tree))
+    report = validate_decomposition(g, PathDecomposition(bags))
     assert not report.union_covers_v
     assert not report.every_edge_in_some_bag
     assert any("vertex 3" in v for v in report.violations)
@@ -63,7 +60,7 @@ def test_validator_flags_disconnected_occurrence():
     mid = occ[len(occ) // 2]
     assert occ[0] < mid < occ[-1]
     bags = tuple(b - {3} if i == mid else b for i, b in enumerate(d.bags))
-    report = validate_decomposition(g, TreeDecomposition(bags, d.tree))
+    report = validate_decomposition(g, PathDecomposition(bags))
     assert not report.occurrences_connected
     assert any("disconnected" in v for v in report.violations)
 
@@ -72,15 +69,13 @@ def test_validator_flags_uncovered_edge_only():
     g = adjacency(petersen_graph(10, 2))
     d = path_decomposition(10, 2)
     bags = tuple(b - {14} if {4, 14} <= b else b for b in d.bags)
-    report = validate_decomposition(g, TreeDecomposition(bags, d.tree))
+    report = validate_decomposition(g, PathDecomposition(bags))
     assert not report.every_edge_in_some_bag
     assert any("edge 4-14" in v for v in report.violations)
 
 
 def test_tree_decomposition_invariants():
     with pytest.raises(DomainError):
-        TreeDecomposition((frozenset(),), ())
+        PathDecomposition((frozenset({1}), frozenset()))
     with pytest.raises(DomainError):
-        TreeDecomposition((frozenset({1}), frozenset({2})), ())  # disconnected
-    with pytest.raises(DomainError):
-        TreeDecomposition((frozenset({1}), frozenset({2})), ((0, 5),))
+        PathDecomposition(())

@@ -8,7 +8,6 @@ from petersen_alpha import (
     AdjacencyGraph,
     DomainError,
     SegmentKind,
-    Vertex,
     adjacency,
     classify_segment,
     is_independent,
@@ -16,7 +15,7 @@ from petersen_alpha import (
     segment_subgraph,
     segment_vertices,
 )
-from petersen_alpha.graph import Ring, petersen_independent, violating_edges
+from petersen_alpha.graph import petersen_independent, violating_edges
 
 valid_nk = st.integers(min_value=1, max_value=12).flatmap(
     lambda k: st.tuples(st.integers(min_value=2 * k + 1, max_value=60), st.just(k))
@@ -59,14 +58,22 @@ def test_three_regular(nk):
 
 
 def test_vertex_encoding_roundtrip():
-    n = 9
-    for code in range(2 * n):
-        v = Vertex.decode(code, n)
-        assert v.encode(n) == code
-    assert Vertex(Ring.OUTER, 3).encode(9) == 3
-    assert Vertex(Ring.INNER, 3).encode(9) == 12
-    with pytest.raises(DomainError):
-        Vertex.decode(18, 9)
+    g = petersen_graph(9, 2)
+    for i in range(g.n):
+        assert g.label(g.outer(i)) == f"u{i}"
+        assert g.label(g.inner(i)) == f"v{i}"
+    assert [g.outer(3), g.inner(3)] == [3, 12]
+    assert [g.outer(12), g.inner(-1)] == [3, 17]  # indices wrap mod n
+    for code in (-1, 18):
+        with pytest.raises(DomainError):
+            g.label(code)
+
+
+def test_public_names_resolve():
+    import petersen_alpha
+
+    for name in petersen_alpha.__all__:
+        assert getattr(petersen_alpha, name) is not None, name
 
 
 def test_segment_vertices_and_subgraph():
@@ -141,7 +148,7 @@ def test_classify_rotation_invariance(t, d):
     from petersen_alpha.constructions import special2_pattern
 
     g = petersen_graph(24, 4)
-    s = special2_pattern(4, 0).embed(g)
+    s = special2_pattern(g, 0)
     base = classify_segment(g, s, t)
     rotated = classify_segment(g, _rotate(g, s, d), (t + d) % g.n)
     assert base == rotated

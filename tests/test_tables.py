@@ -69,11 +69,14 @@ def test_cache_skips_malformed_lines(tmp_path, caplog):
         'not json\n'
         '{"n": 5, "k": 2, "alpha": 4, "method": "closed-form", "elapsed_ms": 0}\n'
         '{"n": 6, "k": 1}\n'
+        '{"n": 5, "k": 1, "alpha": 4.7, "method": "closed-form", "elapsed_ms": 0}\n'
+        '{"n": 6, "k": 2, "alpha": true, "method": "closed-form", "elapsed_ms": 0}\n'
+        '{"n": 6.5, "k": 1, "alpha": 6, "method": "closed-form", "elapsed_ms": 0}\n'
     )
     with caplog.at_level("WARNING"):
         loaded = cache_load(path)
     assert set(loaded) == {(5, 2)}
-    assert sum("malformed" in r.message for r in caplog.records) == 2
+    assert sum("malformed" in r.message for r in caplog.records) == 5
 
 
 def test_cache_skips_solved_record_without_alpha(tmp_path, caplog):
@@ -85,6 +88,22 @@ def test_cache_skips_solved_record_without_alpha(tmp_path, caplog):
     # the cell is computed again instead of reaching the table without alpha
     cell = generate_table(6, cache_path=path, budget_secs=None)[0]
     assert (cell.n, cell.k, cell.alpha, cell.method) == (5, 1, 4, "closed-form")
+    assert cache_load(path)[(5, 1)].alpha == 4
+
+
+def test_cache_skips_timeout_record(tmp_path, caplog):
+    timeout = '{"n": 5, "k": 1, "alpha": null, "method": "timeout", "elapsed_ms": 0}\n'
+    solved = '{"n": 5, "k": 1, "alpha": 4, "method": "closed-form", "elapsed_ms": 0}\n'
+    path = tmp_path / "cache.jsonl"
+    # alone: the cell is computed again rather than reported as a timeout
+    path.write_text(timeout)
+    with caplog.at_level("WARNING"):
+        assert cache_load(path) == {}
+    assert any("malformed" in r.message for r in caplog.records)
+    cell = generate_table(5, cache_path=path, budget_secs=None)[0]
+    assert (cell.n, cell.k, cell.alpha, cell.method) == (5, 1, 4, "closed-form")
+    # followed by a solved record: no conflict with the solved value
+    path.write_text(timeout + solved)
     assert cache_load(path)[(5, 1)].alpha == 4
 
 
@@ -122,7 +141,7 @@ def test_parallel_table_streams_cache_like_serial(tmp_path, caplog):
     serial, parallel = tmp_path / "serial.jsonl", tmp_path / "parallel.jsonl"
     generate_table(16, cache_path=serial, budget_secs=None)
     with caplog.at_level(logging.INFO, logger="petersen_alpha.tables"):
-        generate_table(16, cache_path=parallel, jobs=2, budget_secs=None, progress=True)
+        generate_table(16, cache_path=parallel, jobs=2, budget_secs=None)
     assert len(records(serial)) == 54
     assert records(parallel) == records(serial)
     assert "computed 50/54 cells" in caplog.text
