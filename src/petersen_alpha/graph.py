@@ -142,14 +142,14 @@ def segment_subgraph(
 ) -> tuple[AdjacencyGraph, tuple[int, ...]]:
     """Induced subgraph on a segment plus the local->canonical code mapping."""
     codes = segment_vertices(g, t, length)
+    return _induced(adjacency(g), codes), codes
+
+
+def _induced(full: AdjacencyGraph, codes: tuple[int, ...]) -> AdjacencyGraph:
+    """The subgraph of `full` induced by `codes`; local vertex i is codes[i]."""
     pos = {c: i for i, c in enumerate(codes)}
-    full = adjacency(g)
-    edges = []
-    for c in codes:
-        for d in full.neighbors[c]:
-            if d in pos and c < d:
-                edges.append((pos[c], pos[d]))
-    return AdjacencyGraph.from_edges(len(codes), edges), codes
+    edges = [(pos[c], pos[d]) for c in codes for d in full.neighbors[c] if d in pos and c < d]
+    return AdjacencyGraph.from_edges(len(codes), edges)
 
 
 def _check_vertices(g: AdjacencyGraph, vertices: Iterable[int]) -> set[int]:
@@ -215,7 +215,8 @@ def classify_segment(g: GeneralizedPetersen, s: Iterable[int], t: int) -> Segmen
     if not is_independent(full, members):
         raise DomainError("segment classification requires an independent set")
     k = g.k
-    sub, codes = segment_subgraph(g, t)
+    codes = segment_vertices(g, t)
+    sub = _induced(full, codes)
     local = {i for i, c in enumerate(codes) if c in members}
     size = len(local)
     if size == 2 * k:

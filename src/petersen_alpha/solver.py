@@ -16,7 +16,9 @@ Three independent routes compute alpha(P(n,k)):
   vertices are taken greedily, degree-2 vertices are folded (or taken when
   their neighborhood is a triangle), and branching picks a maximum-degree
   vertex (lowest index on ties), excluding it first, under a greedy
-  clique-cover upper bound.
+  clique-cover upper bound.  Graphs are dicts of neighbor bitmasks.  A node
+  re-examines for reductions only the vertices its branch touched, in the
+  id order of a full rescan, so its cost follows what the branch changed.
 
 * a tiny exhaustive oracle (one memoized subset recursion, at most 32
   vertices) that the test suite uses as ground truth.
@@ -303,53 +305,82 @@ def _graph_to_masks(g: AdjacencyGraph) -> dict[int, int]:
     return {v: sum(1 << u for u in g.neighbors[v]) for v in range(g.vertex_count)}
 
 
-def _remove_vertex(adj: dict[int, int], v: int) -> None:
-    vb = 1 << v
-    for u in _bits(adj.pop(v)):
-        adj[u] &= ~vb
+def _delete(adj: dict[int, int], gone: int, touched: int) -> dict[int, int]:
+    """A copy of adj without the vertices in `gone`; `touched` must hold
+    every vertex that keeps a neighbor in `gone`."""
+    out = adj.copy()
+    for x in _bits(gone):
+        del out[x]
+    keep = ~gone
+    for x in _bits(touched):
+        out[x] &= keep
+    return out
 
 
-def _reduce(adj: dict[int, int], picks: list[int], folds: list[tuple[int, int, int, int]], next_id: int) -> int:
-    """Apply isolated/degree-1/degree-2 reductions until none fires."""
-    again = True
-    while again:
-        again = False
-        for v in sorted(adj):
-            if v not in adj:
+def _reduce(adj: dict[int, int], picks: list[int], folds: list[tuple[int, int, int, int]],
+            next_id: int, dirty: int) -> int:
+    """Apply isolated/degree-1/degree-2 reductions until none fires.
+
+    `dirty` is the bitmask of the vertices whose neighborhood changed since
+    `adj` was last fully reduced (all of them at first); no other vertex can
+    be reducible, so only these are examined, in passes, lowest id first.  A
+    reduction never raises a degree.  A neighbor it leaves with degree at
+    most 2 is examined later in the same pass if its id lies past the
+    current one and below the pass's first new id, and in the next pass
+    otherwise, as is a new fold vertex of degree at most 2.  Repeated sorted
+    rescans of every vertex meet the reducible vertices in just this order,
+    so the same reductions fire in the same order.
+    """
+    while dirty:
+        todo, dirty = dirty, 0
+        old = (1 << next_id) - 1  # the ids a rescan begun now would list
+        while todo:
+            low = todo & -todo
+            todo ^= low
+            v = low.bit_length() - 1
+            nv = adj.get(v)
+            if nv is None:
                 continue
-            deg = adj[v].bit_count()
-            if deg == 0:
+            deg = nv.bit_count()
+            if deg > 2:
+                continue
+            gone = nv | low
+            fold = False
+            if deg == 2:
+                u = (nv & -nv).bit_length() - 1
+                w = nv.bit_length() - 1
+                fold = not adj[u] >> w & 1  # a triangle puts v in some maximum set
+            changed = 0
+            rest = gone
+            while rest:
+                x = rest & -rest
+                rest ^= x
+                changed |= adj.pop(x.bit_length() - 1)
+            changed &= ~gone
+            if fold:  # v,u,w become one fresh vertex adjacent to N(u) | N(w)
+                fb = 1 << next_id
+                adj[next_id] = changed
+                folds.append((next_id, v, u, w))
+                next_id += 1
+                if changed.bit_count() <= 2:
+                    dirty |= fb
+            else:  # take v; its neighbors (at most two) go with it
+                fb = 0
                 picks.append(v)
-                del adj[v]
-                again = True
-            elif deg == 1:
-                u = adj[v].bit_length() - 1
-                picks.append(v)
-                _remove_vertex(adj, v)
-                _remove_vertex(adj, u)
-                again = True
-            elif deg == 2:
-                it = _bits(adj[v])
-                u = next(it)
-                w = next(it)
-                if adj[u] & (1 << w):  # triangle: v is in some maximum set
-                    picks.append(v)
-                    _remove_vertex(adj, v)
-                    _remove_vertex(adj, u)
-                    _remove_vertex(adj, w)
-                else:  # fold v,u,w into one fresh vertex
-                    merged = (adj[u] | adj[w]) & ~((1 << v) | (1 << u) | (1 << w))
-                    _remove_vertex(adj, v)
-                    _remove_vertex(adj, u)
-                    _remove_vertex(adj, w)
-                    f = next_id
-                    next_id += 1
-                    adj[f] = merged
-                    fb = 1 << f
-                    for x in _bits(merged):
-                        adj[x] |= fb
-                    folds.append((f, v, u, w))
-                again = True
+            keep = ~gone
+            low_deg = 0
+            rest = changed
+            while rest:
+                xb = rest & -rest
+                rest ^= xb
+                x = xb.bit_length() - 1
+                m = adj[x] & keep | fb
+                adj[x] = m
+                if m.bit_count() <= 2:
+                    low_deg |= xb
+            now = low_deg & old & -(low << 1)
+            todo |= now
+            dirty |= low_deg ^ now
     return next_id
 
 
@@ -367,36 +398,38 @@ def _unfold(chosen: set[int], picks: list[int], folds: list[tuple[int, int, int,
 
 
 def _clique_cover_bound(adj: dict[int, int]) -> int:
-    """Greedy clique cover size; an admissible upper bound on alpha."""
+    """Greedy clique cover size; an admissible upper bound on alpha.  Each
+    clique starts at the lowest unassigned id and grows by lowest ids."""
     unassigned = 0
     for v in adj:
         unassigned |= 1 << v
     count = 0
-    for v in sorted(adj):
-        if not (unassigned >> v) & 1:
-            continue
-        unassigned &= ~(1 << v)
-        cand = adj[v] & unassigned
+    while unassigned:
+        low = unassigned & -unassigned
+        unassigned ^= low
+        cand = adj[low.bit_length() - 1] & unassigned
         while cand:
-            u = (cand & -cand).bit_length() - 1
-            unassigned &= ~(1 << u)
-            cand &= adj[u] & unassigned
+            low = cand & -cand
+            unassigned ^= low
+            cand &= adj[low.bit_length() - 1] & unassigned
         count += 1
     return count
 
 
-def _best_set(adj: dict[int, int], target: int, next_id: int,
+def _best_set(adj: dict[int, int], target: int, next_id: int, dirty: int,
               deadline: float | None) -> tuple[int, set[int] | None]:
     """Best independent set if its size beats `target`, else (target, None).
 
-    The None return guarantees alpha(adj) <= target, which makes the caller's
-    pruning sound.  A set that is returned is the first maximum one in
-    exclusion-first search order, whatever `target` was.
+    `dirty` marks the vertices whose neighborhood changed since `adj` was last
+    fully reduced (every vertex at the root).  The None return guarantees
+    alpha(adj) <= target, which makes the caller's pruning sound.  A set that
+    is returned is the first maximum one in exclusion-first search order,
+    whatever `target` was.
     """
     _check_deadline(deadline)
     picks: list[int] = []
     folds: list[tuple[int, int, int, int]] = []
-    next_id = _reduce(adj, picks, folds, next_id)
+    next_id = _reduce(adj, picks, folds, next_id, dirty)
     gain = len(picks) + len(folds)
 
     if not adj:
@@ -408,17 +441,27 @@ def _best_set(adj: dict[int, int], target: int, next_id: int,
     if _clique_cover_bound(adj) <= local_target:
         return target, None
 
-    v = min(adj, key=lambda x: (-adj[x].bit_count(), x))
-    closed = adj[v] | (1 << v)
+    # a maximum-degree vertex, lowest id on ties: adj lists its ids in
+    # ascending order, since a fold's fresh id exceeds every id in use
+    top = max(map(int.bit_count, adj.values()))
+    v = next(x for x, m in adj.items() if m.bit_count() == top)
+    nv = adj[v]
+    closed = nv | (1 << v)
+    # adj is fully reduced, so each branch re-examines only the vertices it
+    # touches: N(v) when v goes, N(N(v)) minus N[v] when N[v] goes
+    ring = 0
+    for x in _bits(nv):
+        ring |= adj[x]
+    ring &= ~closed
 
     # exclude v first: ties then favor the exclusion branch
-    without = {x: m & ~(1 << v) for x, m in adj.items() if x != v}
-    best_size, best_chosen = _best_set(without, local_target, next_id, deadline)
+    without = _delete(adj, 1 << v, nv)
+    best_size, best_chosen = _best_set(without, local_target, next_id, nv, deadline)
     found = best_chosen is not None
     sub_target = best_size if found else local_target
 
-    with_v = {x: m & ~closed for x, m in adj.items() if not (closed >> x) & 1}
-    size2, chosen2 = _best_set(with_v, sub_target - 1, next_id, deadline)
+    with_v = _delete(adj, closed, ring)
+    size2, chosen2 = _best_set(with_v, sub_target - 1, next_id, ring, deadline)
     if chosen2 is not None and size2 + 1 > sub_target:
         best_size, best_chosen, found = size2 + 1, chosen2 | {v}, True
 
@@ -448,8 +491,9 @@ def alpha_branch_reduce(
     # the search recurses once per branch; put the old limit back
     old_limit = sys.getrecursionlimit()
     sys.setrecursionlimit(max(old_limit, 4 * g.vertex_count + 1000))
+    n = g.vertex_count
     try:
-        size, chosen = _best_set(_graph_to_masks(g), lower_hint - 1, g.vertex_count, deadline)
+        size, chosen = _best_set(_graph_to_masks(g), lower_hint - 1, n, (1 << n) - 1, deadline)
     finally:
         sys.setrecursionlimit(old_limit)
     if chosen is None:

@@ -96,6 +96,35 @@ def test_segment_vertices_and_subgraph():
         segment_vertices(g, 0, 21)
 
 
+# (n, k, t, length): segments from the start, mid-ring, and wrapping past u_{n-1}
+@pytest.mark.parametrize("n,k,t,length", [(11, 2, 0, None), (11, 2, 9, None), (13, 3, 5, None),
+                                          (20, 4, 15, None), (20, 4, 18, 5), (9, 4, 3, 9)])
+def test_segment_subgraph_is_induced_subgraph(n, k, t, length):
+    g = petersen_graph(n, k)
+    full = adjacency(g)
+    sub, codes = segment_subgraph(g, t, length)
+    assert codes == segment_vertices(g, t, length)
+    induced = {frozenset((codes[i], codes[j])) for i, j in sub.edges()}
+    members = set(codes)
+    assert induced == {frozenset(e) for e in full.edges() if members.issuperset(e)}
+
+
+def test_classify_segment_builds_adjacency_once(monkeypatch):
+    import petersen_alpha.graph as graph
+
+    calls = []
+    real = graph.adjacency
+
+    def counted(g):
+        calls.append(g)
+        return real(g)
+
+    monkeypatch.setattr(graph, "adjacency", counted)
+    g = petersen_graph(200, 4)
+    assert classify_segment(g, {0, 2}, 198).kind == SegmentKind.TYPE3
+    assert len(calls) == 1
+
+
 def test_is_independent_basics():
     g = petersen_graph(7, 2)
     adj = adjacency(g)
