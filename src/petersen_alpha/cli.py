@@ -2,7 +2,7 @@
 
 Subcommands: alpha, bounds, table, conjecture, decompose, construct.
 Exit codes: 0 success, 1 usage, domain or file error, 2 verification or
-consistency failure, 3 timeout.
+consistency failure or a failed self-check, 3 timeout.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from . import bounds as bounds_mod
 from . import tables
 from .constructions import independent_set_even_even, independent_set_odd_even, verify_witness
 from .decomposition import path_decomposition, validate_decomposition
-from .errors import BudgetExceededError, ConsistencyError, DomainError
+from .errors import BudgetExceededError, ConsistencyError, DomainError, InternalError
 from .graph import adjacency, petersen_graph
 from .solver import alpha as solve_alpha
 
@@ -203,6 +203,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     except ConsistencyError as exc:
         print(f"consistency error: {exc}", file=sys.stderr)
+        return EXIT_VERIFY
+    except InternalError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_VERIFY
     except BudgetExceededError as exc:
         print(f"timeout: {exc}", file=sys.stderr)

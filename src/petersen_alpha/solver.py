@@ -19,6 +19,10 @@ Three independent routes compute alpha(P(n,k)):
   clique-cover upper bound.  Graphs are dicts of neighbor bitmasks.  A node
   re-examines for reductions only the vertices its branch touched, in the
   id order of a full rescan, so its cost follows what the branch changed.
+  The search is one depth-first loop over an explicit stack against one
+  incumbent, the largest size found so far; each node carries a trail of
+  what the levels above it took and folded, and a leaf rebuilds its set
+  from that trail only when it beats the incumbent.
 
 * a tiny exhaustive oracle (one memoized subset recursion, at most 32
   vertices) that the test suite uses as ground truth.
@@ -33,7 +37,6 @@ from __future__ import annotations
 
 import functools
 import math
-import sys
 import time
 from dataclasses import dataclass
 
@@ -53,7 +56,7 @@ class ExactResult:
     """An exact alpha value, how it was obtained, and an optional witness set."""
 
     value: int
-    method: str  # "closed-form" | "window-dp" | "branch-reduce" | "oracle"
+    method: str  # "closed-form" | "window-dp" | "branch-reduce"
     witness: tuple[int, ...] | None
     elapsed: float
 
@@ -158,18 +161,11 @@ _CHECKPOINT_BYTES = 1 << 20
 @functools.cache
 def _transfer_block(k: int) -> np.ndarray:
     """Best gain over _BLOCK consecutive columns between every state pair
-    (read-only, built once per k).
-
-    Sixteen columns swept from the identity seeding (row s starts in state s)
-    give the 16-column operator; squaring it twice (max-plus) composes it to
-    _BLOCK = 64 columns, at a quarter of the column steps.
-    """
+    (read-only, built once per k): the _BLOCK columns swept from the identity
+    seeding, in which row s starts in state s."""
     S = 1 << (k + 1)
     T, tmp, _ = _dp_tables(np.arange(S), k, _BLOCK)
-    M = T[_sweep(T, tmp, 16, None)].reshape(S, S)
-    for _ in range(2):  # 16 -> 32 -> 64 columns
-        M = np.max(M[:, :, None] + M[None, :, :], axis=1)
-        np.maximum(M, _NEG, out=M)
+    M = T[_sweep(T, tmp, _BLOCK, None)].reshape(S, S)
     M.setflags(write=False)
     return M
 
@@ -291,7 +287,7 @@ def _dp_witness(n: int, k: int, seed: int, value: int, marks: list[tuple[int, np
 #
 # Graphs are dicts mapping a vertex id to the bitmask of its alive neighbors;
 # folding a degree-2 vertex introduces a fresh id, so ids can exceed the
-# original vertex count until the solution is unfolded again.
+# original vertex count until the solution is unwound again.
 
 
 def _bits(mask: int):
@@ -384,19 +380,6 @@ def _reduce(adj: dict[int, int], picks: list[int], folds: list[tuple[int, int, i
     return next_id
 
 
-def _unfold(chosen: set[int], picks: list[int], folds: list[tuple[int, int, int, int]]) -> set[int]:
-    out = set(chosen)
-    out.update(picks)
-    for f, v, u, w in reversed(folds):
-        if f in out:
-            out.discard(f)
-            out.add(u)
-            out.add(w)
-        else:
-            out.add(v)
-    return out
-
-
 def _clique_cover_bound(adj: dict[int, int]) -> int:
     """Greedy clique cover size; an admissible upper bound on alpha.  Each
     clique starts at the lowest unassigned id and grows by lowest ids."""
@@ -416,59 +399,73 @@ def _clique_cover_bound(adj: dict[int, int]) -> int:
     return count
 
 
-def _best_set(adj: dict[int, int], target: int, next_id: int, dirty: int,
+def _unwind(trail) -> set[int]:
+    """The independent set a search leaf stands for.  `trail` is a linked
+    tuple (picks, folds, parent) of what each level above the leaf took and
+    folded; walking it from the leaf to the root adds each level's picks and
+    then undoes its folds, last fold first."""
+    out: set[int] = set()
+    while trail is not None:
+        picks, folds, trail = trail
+        out.update(picks)
+        for f, v, u, w in reversed(folds):
+            if f in out:
+                out.discard(f)
+                out.add(u)
+                out.add(w)
+            else:
+                out.add(v)
+    return out
+
+
+def _best_set(adj: dict[int, int], next_id: int, best: int,
               deadline: float | None) -> tuple[int, set[int] | None]:
-    """Best independent set if its size beats `target`, else (target, None).
+    """The first maximum independent set of adj in exclusion-first search
+    order and its size, if that size beats `best`; else (best, None), which
+    guarantees alpha(adj) <= best.
 
-    `dirty` marks the vertices whose neighborhood changed since `adj` was last
-    fully reduced (every vertex at the root).  The None return guarantees
-    alpha(adj) <= target, which makes the caller's pruning sound.  A set that
-    is returned is the first maximum one in exclusion-first search order,
-    whatever `target` was.
+    A depth-first search over an explicit stack with one incumbent, `best`,
+    the largest size found so far.  Each entry holds a graph, its first free
+    id, the mask of vertices to re-examine for reductions (every vertex at
+    the root), the size fixed above it and its trail.  A leaf rebuilds its
+    set only when it beats `best`, so the set a search returns does not
+    depend on the `best` it started from.
     """
-    _check_deadline(deadline)
-    picks: list[int] = []
-    folds: list[tuple[int, int, int, int]] = []
-    next_id = _reduce(adj, picks, folds, next_id, dirty)
-    gain = len(picks) + len(folds)
+    stack = [(adj, next_id, (1 << next_id) - 1, 0, None)]
+    leaf = None
+    while stack:
+        adj, next_id, dirty, size, trail = stack.pop()
+        _check_deadline(deadline)
+        picks: list[int] = []
+        folds: list[tuple[int, int, int, int]] = []
+        next_id = _reduce(adj, picks, folds, next_id, dirty)
+        size += len(picks) + len(folds)
+        trail = (picks, folds, trail)
 
-    if not adj:
-        if gain > target:
-            return gain, _unfold(set(), picks, folds)
-        return target, None
+        if not adj:
+            if size > best:
+                best, leaf = size, trail
+            continue
+        if size + _clique_cover_bound(adj) <= best:
+            continue
 
-    local_target = target - gain
-    if _clique_cover_bound(adj) <= local_target:
-        return target, None
+        # a maximum-degree vertex, lowest id on ties: adj lists its ids in
+        # ascending order, since a fold's fresh id exceeds every id in use
+        top = max(map(int.bit_count, adj.values()))
+        v = next(x for x, m in adj.items() if m.bit_count() == top)
+        nv = adj[v]
+        closed = nv | (1 << v)
+        # adj is fully reduced, so each branch re-examines only the vertices it
+        # touches: N(v) when v goes, N(N(v)) minus N[v] when N[v] goes
+        ring = 0
+        for x in _bits(nv):
+            ring |= adj[x]
+        ring &= ~closed
 
-    # a maximum-degree vertex, lowest id on ties: adj lists its ids in
-    # ascending order, since a fold's fresh id exceeds every id in use
-    top = max(map(int.bit_count, adj.values()))
-    v = next(x for x, m in adj.items() if m.bit_count() == top)
-    nv = adj[v]
-    closed = nv | (1 << v)
-    # adj is fully reduced, so each branch re-examines only the vertices it
-    # touches: N(v) when v goes, N(N(v)) minus N[v] when N[v] goes
-    ring = 0
-    for x in _bits(nv):
-        ring |= adj[x]
-    ring &= ~closed
-
-    # exclude v first: ties then favor the exclusion branch
-    without = _delete(adj, 1 << v, nv)
-    best_size, best_chosen = _best_set(without, local_target, next_id, nv, deadline)
-    found = best_chosen is not None
-    sub_target = best_size if found else local_target
-
-    with_v = _delete(adj, closed, ring)
-    size2, chosen2 = _best_set(with_v, sub_target - 1, next_id, ring, deadline)
-    if chosen2 is not None and size2 + 1 > sub_target:
-        best_size, best_chosen, found = size2 + 1, chosen2 | {v}, True
-
-    if found:
-        assert best_chosen is not None
-        return gain + best_size, _unfold(best_chosen, picks, folds)
-    return target, None
+        # exclude v first (pushed last): ties then favor the exclusion branch
+        stack.append((_delete(adj, closed, ring), next_id, ring, size + 1, ([v], (), trail)))
+        stack.append((_delete(adj, 1 << v, nv), next_id, nv, size, trail))
+    return best, None if leaf is None else _unwind(leaf)
 
 
 def alpha_branch_reduce(
@@ -488,14 +485,7 @@ def alpha_branch_reduce(
     """
     start = time.perf_counter()
     _check_deadline(deadline)
-    # the search recurses once per branch; put the old limit back
-    old_limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old_limit, 4 * g.vertex_count + 1000))
-    n = g.vertex_count
-    try:
-        size, chosen = _best_set(_graph_to_masks(g), lower_hint - 1, n, (1 << n) - 1, deadline)
-    finally:
-        sys.setrecursionlimit(old_limit)
+    size, chosen = _best_set(_graph_to_masks(g), g.vertex_count, lower_hint - 1, deadline)
     if chosen is None:
         # a search from lower_hint - 1 finds a set whenever alpha >= lower_hint
         raise InternalError(f"lower bound hint {lower_hint} exceeds the optimum (alpha <= {lower_hint - 1})")
@@ -516,7 +506,7 @@ def _oracle(g: AdjacencyGraph):
     frames deep (<= 32 vertices)."""
     if g.vertex_count > _ORACLE_CAP:
         raise DomainError(f"oracle capped at {_ORACLE_CAP} vertices, got {g.vertex_count}")
-    nbr = [sum(1 << u for u in g.neighbors[v]) for v in range(g.vertex_count)]
+    nbr = _graph_to_masks(g)
 
     @functools.cache
     def f(mask: int) -> int:

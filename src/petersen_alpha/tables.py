@@ -18,6 +18,7 @@ from __future__ import annotations
 import contextlib
 import json
 import logging
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -98,6 +99,18 @@ def cache_append(path: str | Path, cell: TableCell) -> None:
         f.write(cell.to_json_line() + "\n")
 
 
+def _end_partial_line(path: str | Path) -> None:
+    """End the cache's last line if a crash cut it off mid-write, so that the
+    next record starts a line of its own; the cut record stays malformed and
+    is skipped on load."""
+    p = Path(path)
+    if p.exists() and p.stat().st_size:
+        with p.open("rb+") as f:
+            f.seek(-1, os.SEEK_END)
+            if f.read(1) != b"\n":
+                f.write(b"\n")
+
+
 # ---------------------------------------------------------------------------
 # table generation
 # ---------------------------------------------------------------------------
@@ -127,7 +140,8 @@ def generate_table(
     appended to the cache as it arrives, in table order, so a crash keeps
     every cell finished before it; the cache is written only by this
     coordinating process, and the returned list is always sorted by (n, k)
-    so the rendered output is deterministic.
+    so the rendered output is deterministic.  A last line that a crash cut
+    off is ended before the first append, once per run.
     """
     wanted = table_cells(n_max)
     cached = cache_load(cache_path) if cache_path else {}
@@ -135,6 +149,8 @@ def generate_table(
     work = [(n, k, budget_secs) for n, k in wanted if (n, k) not in done]
 
     if work:
+        if cache_path is not None:
+            _end_partial_line(cache_path)
         with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else contextlib.nullcontext() as pool:
             fresh = pool.map(_compute_cell, work) if pool else map(_compute_cell, work)
             for i, cell in enumerate(fresh, start=1):

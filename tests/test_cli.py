@@ -4,7 +4,7 @@ import logging
 
 import pytest
 
-from petersen_alpha import tables
+from petersen_alpha import InternalError, cli, tables
 from petersen_alpha.cli import main
 
 
@@ -43,6 +43,16 @@ def test_alpha_domain_error_exit_1(capsys):
 def test_alpha_forced_method_precondition_exit_1(capsys):
     code, _, err = run(capsys, "alpha", "--n", "13", "--k", "6", "--method", "closed")
     assert code == 1 and "closed form" in err
+
+
+def test_alpha_internal_error_exit_2(capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise InternalError("witness size disagrees with the DP value")
+
+    monkeypatch.setattr(cli, "solve_alpha", fail)
+    code, out, err = run(capsys, "alpha", "--n", "13", "--k", "6")
+    assert code == 2 and out == ""
+    assert err == "internal error: witness size disagrees with the DP value\n"
 
 
 def test_bounds_json(capsys):

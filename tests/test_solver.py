@@ -1,7 +1,9 @@
 import hashlib
+import inspect
 import sys
 import time
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -20,7 +22,19 @@ from petersen_alpha import (
     maximum_independent_sets,
     petersen_graph,
 )
-from petersen_alpha.solver import _dp_is_cheaper, _graph_to_masks, _reduce, _transfer_block
+from petersen_alpha.solver import (
+    _BLOCK,
+    _NEG,
+    _bits,
+    _clique_cover_bound,
+    _delete,
+    _dp_is_cheaper,
+    _dp_tables,
+    _graph_to_masks,
+    _reduce,
+    _sweep,
+    _transfer_block,
+)
 
 
 def cycle(m: int) -> AdjacencyGraph:
@@ -214,6 +228,74 @@ def test_branch_reduce_matches_oracle(g):
     assert len(r.witness) == r.value and is_independent(g, r.witness)
 
 
+def recursive_unfold(chosen, picks, folds):
+    out = set(chosen)
+    out.update(picks)
+    for f, v, u, w in reversed(folds):
+        if f in out:
+            out.discard(f)
+            out.add(u)
+            out.add(w)
+        else:
+            out.add(v)
+    return out
+
+
+def recursive_best_set(adj, target, next_id, dirty):
+    """Branch-and-reduce as a recursion that passes a target relative to each
+    node down and unfolds a set on every return: the reference for the order
+    in which the explicit-stack search meets its sets.  Best set if its size
+    beats `target`, else (target, None)."""
+    picks, folds = [], []
+    next_id = _reduce(adj, picks, folds, next_id, dirty)
+    gain = len(picks) + len(folds)
+    if not adj:
+        if gain > target:
+            return gain, recursive_unfold(set(), picks, folds)
+        return target, None
+    local_target = target - gain
+    if _clique_cover_bound(adj) <= local_target:
+        return target, None
+    top = max(map(int.bit_count, adj.values()))
+    v = next(x for x, m in adj.items() if m.bit_count() == top)
+    nv = adj[v]
+    closed = nv | (1 << v)
+    ring = 0
+    for x in _bits(nv):
+        ring |= adj[x]
+    ring &= ~closed
+    without = _delete(adj, 1 << v, nv)
+    best_size, best_chosen = recursive_best_set(without, local_target, next_id, nv)
+    found = best_chosen is not None
+    sub_target = best_size if found else local_target
+    with_v = _delete(adj, closed, ring)
+    size2, chosen2 = recursive_best_set(with_v, sub_target - 1, next_id, ring)
+    if chosen2 is not None and size2 + 1 > sub_target:
+        best_size, best_chosen, found = size2 + 1, chosen2 | {v}, True
+    if found:
+        return gain + best_size, recursive_unfold(best_chosen, picks, folds)
+    return target, None
+
+
+# the random graphs above mostly reduce away without a branch; P(n,k) is
+# cubic and triangle-free (but for n = 3k), so its searches branch at once
+small_petersen_graphs = st.integers(min_value=5, max_value=16).flatmap(
+    lambda n: st.integers(min_value=1, max_value=(n - 1) // 2).map(lambda k: adjacency(petersen_graph(n, k))))
+
+
+@given(st.one_of(small_graphs(), small_petersen_graphs), st.data())
+@settings(max_examples=200, deadline=None)
+def test_branch_reduce_matches_recursive_reference(g, data):
+    """The search returns the value and witness of the recursive reference
+    at every valid lower hint."""
+    n = g.vertex_count
+    value = recursive_best_set(_graph_to_masks(g), -1, n, (1 << n) - 1)[0]
+    hint = data.draw(st.integers(min_value=0, max_value=value))
+    size, chosen = recursive_best_set(_graph_to_masks(g), hint - 1, n, (1 << n) - 1)
+    r = alpha_branch_reduce(g, lower_hint=hint)
+    assert (r.value, r.witness) == (size, tuple(sorted(chosen)))
+
+
 # k <= 5 goes through 64-column transfer blocks: n below one block, past one, past two
 @pytest.mark.parametrize("n,k", [(17, 6), (11, 4), (70, 3), (131, 5)])
 def test_dp_witness_valid_and_deterministic(n, k):
@@ -259,16 +341,50 @@ def test_transfer_block_is_cached_and_read_only():
         m[0, 0] = 0
 
 
+@pytest.mark.parametrize("k", range(1, 6))
+def test_transfer_block_composes(k):
+    """The _BLOCK-column operator is the max-plus square of the operator over
+    half as many columns, on every reachable state pair."""
+    S = 1 << (k + 1)
+    T, tmp, _ = _dp_tables(np.arange(S), k, _BLOCK)
+    H = T[_sweep(T, tmp, _BLOCK // 2, None)].reshape(S, S).astype(np.int64)
+    squared = np.max(H[:, :, None] + H[None, :, :], axis=1)
+    M = _transfer_block(k)
+    reachable = M > _NEG // 2
+    assert np.array_equal(reachable, squared > _NEG // 2)
+    assert np.array_equal(M[reachable], squared[reachable])
+
+
 def test_solvers_restore_recursion_limit():
     before = sys.getrecursionlimit()
     try:
         sys.setrecursionlimit(1500)
-        assert alpha_branch_reduce(edgeless(600)).value == 600  # asks for 3400
-        assert sys.getrecursionlimit() == 1500
         assert alpha_oracle(edgeless(32)) == 32
         assert sys.getrecursionlimit() == 1500
     finally:
         sys.setrecursionlimit(before)
+
+
+def test_branch_reduce_uses_no_global_state(monkeypatch):
+    """A search 300 levels deep (one branch per K4 of a disjoint union of
+    300) runs with the recursion limit just above the caller's depth and
+    with sys.setrecursionlimit unusable."""
+    edges = [(4 * c + a, 4 * c + b) for c in range(300) for a in range(4) for b in range(a)]
+    g = AdjacencyGraph.from_edges(1200, edges)
+
+    def refuse(limit):
+        raise AssertionError(f"the search asked for recursion limit {limit}")
+
+    before = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 50)
+    try:
+        with monkeypatch.context() as m:
+            m.setattr(sys, "setrecursionlimit", refuse)
+            r = alpha_branch_reduce(g)
+    finally:
+        sys.setrecursionlimit(before)
+    assert r.value == 300
+    assert len(r.witness) == 300 and is_independent(g, r.witness)
 
 
 def test_engines_agree_small_grid(reference_alpha):

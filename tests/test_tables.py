@@ -123,6 +123,21 @@ def test_cache_last_write_wins_on_consistent_duplicates(tmp_path):
     assert loaded[(13, 4)].method == "branch-reduce"
 
 
+def test_cache_survives_a_cut_last_line(tmp_path):
+    """A crash in mid-write leaves a last line without its newline; the next
+    run starts its first record on a new line instead of gluing it on."""
+    path = tmp_path / "cache.jsonl"
+    generate_table(8, cache_path=path, budget_secs=None)
+    assert len(cache_load(path)) == 10
+    text = path.read_text()
+    path.write_text(text[: text.rindex("\n", 0, -1) + 1 + 20])  # cut the last record
+    assert len(cache_load(path)) == 9
+    for _ in range(2):
+        generate_table(8, cache_path=path, budget_secs=None)
+        assert len(cache_load(path)) == 10
+    assert path.read_text().endswith("}\n")
+
+
 def test_warm_cache_reused(tmp_path):
     path = tmp_path / "cache.jsonl"
     first = generate_table(7, cache_path=path, budget_secs=None)
