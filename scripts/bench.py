@@ -116,6 +116,20 @@ def cpu_model() -> str:
     return platform.processor() or "unknown"
 
 
+def machine() -> dict:
+    """The machine record of a BENCH_*.json: CPU, core count, Python, numpy
+    and platform of this interpreter."""
+    import numpy
+
+    return {
+        "cpu": cpu_model(),
+        "nproc": os.cpu_count(),
+        "python": platform.python_version(),
+        "numpy": numpy.__version__,
+        "platform": platform.platform(),
+    }
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--label", required=True, help="key of this run in BENCH_witness.json and BENCH_branch.json")
@@ -145,19 +159,10 @@ def main() -> int:
         print(f"{call}({n},{k}) {seconds * 1000:.1f} ms  _reduce {reduce_share:.0%}"
               f"  _clique_cover_bound {bound_share:.0%}", flush=True)
 
-    import numpy  # the version of the interpreter the samples ran in
-
-    machine = {
-        "cpu": cpu_model(),
-        "nproc": os.cpu_count(),
-        "python": platform.python_version(),
-        "numpy": numpy.__version__,
-        "platform": platform.platform(),
-    }
-    record(OUT, args.label, rows, machine,
+    record(OUT, args.label, rows, machine(),
            "median seconds over fresh interpreters of alpha_window_dp without and "
            "with a witness, and of the witness phase (_dp_witness) inside the latter")
-    record(BRANCH_OUT, args.label, branch_rows, machine,
+    record(BRANCH_OUT, args.label, branch_rows, machine(),
            "median seconds over fresh interpreters of alpha(n, k) (call 'alpha') or of "
            "alpha_branch_reduce on P(n, k) without a hint (call 'unhinted'), and the "
            "median shares of the call spent in solver._reduce and "

@@ -17,8 +17,6 @@ solver.py (_DP_COST, _BR_COST, _BR_RATE, _FIT_N_MAX).
 
 import json
 import math
-import os
-import platform
 import statistics
 import sys
 import time
@@ -27,8 +25,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-import numpy  # noqa: E402
-
+from bench import machine  # noqa: E402  (scripts/bench.py, this script's directory)
 from petersen_alpha import alpha, exact_closed_form  # noqa: E402
 
 GRID_NS = (31, 45, 61, 77, 91, 105, 121)
@@ -64,17 +61,6 @@ def fit(rows: list[dict]) -> dict:
     }
 
 
-def cpu_model() -> str:
-    try:
-        with open("/proc/cpuinfo") as f:
-            for line in f:
-                if line.startswith("model name"):
-                    return line.split(":", 1)[1].strip()
-    except OSError:
-        pass
-    return platform.processor() or "unknown"
-
-
 def main() -> int:
     alpha(31, 6, "dp")  # warm-up: numpy and the solver's first calls
     alpha(31, 6, "bb")
@@ -94,13 +80,7 @@ def main() -> int:
     record.update({
         "what": "median seconds of the forced window DP and branch-reduce per grid cell, "
                 "and the dispatch constants fitted from them",
-        "machine": {
-            "cpu": cpu_model(),
-            "nproc": os.cpu_count(),
-            "python": platform.python_version(),
-            "numpy": numpy.__version__,
-            "platform": platform.platform(),
-        },
+        "machine": machine(),
         "repeats": REPEATS,
         "grid": rows,
         "fit": constants,

@@ -30,7 +30,6 @@ lower bounds
     even-even-tiling  n,k even, k>2: the explicit segment-tiling witness size
     odd-even-tiling   n odd, k even, k>2: ditto for odd n
     bipartite         n even, k odd: alpha = n
-    zero              fallback so the list is never empty
 
 Values are clamped at zero; several formulas go negative for small n.
 """
@@ -149,7 +148,8 @@ def upper_bounds(n: int, k: int) -> list[BoundValue]:
 
 
 def lower_bounds(n: int, k: int) -> list[BoundValue]:
-    """Every applicable lower bound (always nonempty; values clamped at 0)."""
+    """Every applicable lower bound, clamped at 0 (never empty: odd k gives
+    odd-odd or bipartite, even k gives even-k-ratio)."""
     petersen_graph(n, k)
     d = math.gcd(n, k)
     out: list[BoundValue] = []
@@ -179,12 +179,9 @@ def lower_bounds(n: int, k: int) -> list[BoundValue]:
                 out.append(BoundValue(tiling_size_even_even(n, k), "even-even-tiling", "lower"))
             else:
                 out.append(BoundValue(tiling_size_odd_even(n, k), "odd-even-tiling", "lower"))
-    out = [
+    return [
         BoundValue(max(0, b.value), b.source, b.kind) if b.value < 0 else b for b in out
     ]
-    if not out:
-        out.append(BoundValue(0, "zero", "lower"))
-    return out
 
 
 def best_bounds(n: int, k: int) -> BoundReport:

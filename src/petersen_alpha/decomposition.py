@@ -5,9 +5,10 @@ each later bag swaps one spoke pair for the next, alternating between the
 front end (retire the oldest leading pair, admit the next) and the back end
 (retire the newest trailing pair, admit the preceding one).  After
 n - 2k - 2 swaps the two windows meet, giving n - 2k - 1 bags of 4k+4
-vertices each, i.e. width 4k+3.  Bag i is joined to bag i+1.  The
-construction self-validates.  For n = 2k+1 the windows already cover every
-vertex, so the result is a single bag of width 2n-1, flagged trivial.
+vertices each, i.e. width 4k+3.  Bag i is joined to bag i+1.  For
+n = 2k+1 the windows already cover every vertex, so the result is a single
+bag of width 2n-1, flagged trivial.  The construction self-validates once;
+`checked_path_decomposition` also returns that validation's report.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import DomainError, InternalError
-from .graph import AdjacencyGraph, adjacency, petersen_graph
+from .graph import AdjacencyGraph, GeneralizedPetersen, adjacency, petersen_graph
 
 
 @dataclass(frozen=True)
@@ -67,7 +68,23 @@ class ValidationReport:
 def path_decomposition(n: int, k: int) -> PathDecomposition:
     """The width-4k+3 path decomposition of P(n,k); for n = 2k+1, the
     flagged single bag."""
+    return checked_path_decomposition(n, k)[0]
+
+
+def checked_path_decomposition(n: int, k: int) -> tuple[PathDecomposition, ValidationReport]:
+    """The decomposition of P(n,k) with the report of its one validation; a
+    construction that fails the axioms, or a non-trivial one whose width is
+    not 4k+3, raises InternalError."""
     g = petersen_graph(n, k)
+    deco = _build(g)
+    report = validate_decomposition(adjacency(g), deco)
+    if not report.valid or (not deco.trivial and deco.width != 4 * k + 3):
+        raise InternalError(f"extrapolated decomposition invalid for ({n},{k}): {report.violations}")
+    return deco, report
+
+
+def _build(g: GeneralizedPetersen) -> PathDecomposition:
+    n, k = g.n, g.k
     if n == 2 * k + 1:
         return PathDecomposition((frozenset(range(2 * n)),), trivial=True)
 
@@ -95,11 +112,7 @@ def path_decomposition(n: int, k: int) -> PathDecomposition:
             back_remove -= 1
             back_add -= 1
         bags.append(frozenset(current))
-    deco = PathDecomposition(tuple(bags))
-    report = validate_decomposition(adjacency(g), deco)
-    if not report.valid or deco.width != 4 * k + 3:
-        raise InternalError(f"extrapolated decomposition invalid for ({n},{k}): {report.violations}")
-    return deco
+    return PathDecomposition(tuple(bags))
 
 
 def validate_decomposition(g: AdjacencyGraph, d: PathDecomposition) -> ValidationReport:

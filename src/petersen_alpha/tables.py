@@ -6,8 +6,9 @@ emitting rows sorted by (n, k) so output never depends on computation order.
 Cells that exhaust their time budget are reported with method "timeout" and
 an empty alpha; they are never written to the cache.
 
-The conjecture checker evaluates, for every cell, both equivalent forms of
-the Behsaz-Hatami-Mahmoodian bound: alpha >= floor(4n/5) and, via
+The conjecture checker takes the exact alpha of every cell from its caller
+(such as the table runner) and evaluates both equivalent forms of the
+Behsaz-Hatami-Mahmoodian bound: alpha >= floor(4n/5) and, via
 alpha + beta = 2n, beta <= n + ceil(n/5).  Each cell also gets a tag naming
 which proven case covers it (small-k, bipartite, odd-odd, even-even,
 odd-even) or "table-only" when only the computed table vouches for it.
@@ -99,16 +100,17 @@ def cache_append(path: str | Path, cell: TableCell) -> None:
         f.write(cell.to_json_line() + "\n")
 
 
-def _end_partial_line(path: str | Path) -> None:
-    """End the cache's last line if a crash cut it off mid-write, so that the
-    next record starts a line of its own; the cut record stays malformed and
-    is skipped on load."""
+def _drop_cut_last_line(path: str | Path) -> None:
+    """Drop a last line that a crash cut off mid-write, so that no later load
+    meets it and the next record starts a line of its own.  The file is read
+    whole only when its last byte is not a newline."""
     p = Path(path)
     if p.exists() and p.stat().st_size:
         with p.open("rb+") as f:
             f.seek(-1, os.SEEK_END)
             if f.read(1) != b"\n":
-                f.write(b"\n")
+                f.seek(0)
+                f.truncate(f.read().rfind(b"\n") + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +143,7 @@ def generate_table(
     every cell finished before it; the cache is written only by this
     coordinating process, and the returned list is always sorted by (n, k)
     so the rendered output is deterministic.  A last line that a crash cut
-    off is ended before the first append, once per run.
+    off is dropped before the first append, once per run.
     """
     wanted = table_cells(n_max)
     cached = cache_load(cache_path) if cache_path else {}
@@ -150,7 +152,7 @@ def generate_table(
 
     if work:
         if cache_path is not None:
-            _end_partial_line(cache_path)
+            _drop_cut_last_line(cache_path)
         with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else contextlib.nullcontext() as pool:
             fresh = pool.map(_compute_cell, work) if pool else map(_compute_cell, work)
             for i, cell in enumerate(fresh, start=1):
@@ -236,21 +238,12 @@ class ConjectureReport:
         }
 
 
-def check_conjecture(
-    n_max: int,
-    *,
-    alphas: Mapping[tuple[int, int], int] | None = None,
-    cache_path: str | Path | None = None,
-    budget_secs: float | None = None,
-) -> ConjectureReport:
-    """Evaluate both conjecture forms on exact alpha for every cell <= n_max.
+def check_conjecture(n_max: int, alphas: Mapping[tuple[int, int], int]) -> ConjectureReport:
+    """Evaluate both conjecture forms on the exact alpha of every cell <= n_max.
 
-    Exact values come from `alphas` when given, else from the table runner
-    (which may consult a cache).
+    `alphas` maps (n, k) to the exact alpha, as the table runner computes
+    it; a cell missing from it is a ConsistencyError.
     """
-    if alphas is None:
-        cells = generate_table(n_max, cache_path=cache_path, budget_secs=budget_secs)
-        alphas = {(c.n, c.k): c.alpha for c in cells if c.alpha is not None}
     report = ConjectureReport(n_max)
     for n, k in table_cells(n_max):
         a = alphas.get((n, k))

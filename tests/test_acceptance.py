@@ -171,7 +171,9 @@ def test_criterion_7_path_decomposition_grid():
 
 
 def test_criterion_8_conjecture_full_range(table40, spot_results, reference_alpha):
-    assert CACHE_PATH.exists(), "committed cache missing; run scripts/rebuild_table_cache.py"
+    assert CACHE_PATH.exists(), (
+        "committed cache missing; run petersen-alpha table --n-max 77 "
+        "--cache data/alpha_n77.jsonl --budget-secs 600 --out /dev/null")
     cached = cache_load(CACHE_PATH)
     cells = table_cells(77)
     assert all(key in cached for key in cells), "cache incomplete"

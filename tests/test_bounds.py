@@ -86,11 +86,18 @@ def test_best_bounds_examples():
     assert r.lower.value <= 10 <= r.upper.value  # true alpha sits inside
 
 
-def test_best_bounds_sandwich_closes_without_closed_form():
-    # (26,10): no closed form (26 mod 20 = 6), check report consistency
-    r = best_bounds(26, 10)
-    assert r.lower.value <= r.upper.value
-    assert (r.exact is not None) == (r.lower.value == r.upper.value)
+def test_best_bounds_sandwich_closes_without_closed_form(monkeypatch):
+    # no cell with n < 400 closes its sandwich without a closed form, so the
+    # closed forms are switched off: (16,4) then closes on the tiling witness
+    # and the segment density alone
+    import petersen_alpha.bounds as bounds
+
+    monkeypatch.setattr(bounds, "exact_closed_form", lambda n, k: None)
+    r = best_bounds(16, 4)
+    assert r.exact == 14
+    assert (r.lower.source, r.lower.value) == ("even-even-tiling", 14)
+    assert (r.upper.source, r.upper.value) == ("segment-density", 14)
+    assert all(b.kind != "exact" for b in r.all)
 
 
 def test_bounds_reject_bad_family():

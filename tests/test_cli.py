@@ -20,6 +20,14 @@ def test_alpha_text(capsys):
     assert "alpha(P(13,6)) = 10" in out
 
 
+def test_alpha_text_with_witness(capsys):
+    code, out, _ = run(capsys, "alpha", "--n", "13", "--k", "6", "--witness")
+    assert code == 0
+    first, second = out.splitlines()
+    assert first.startswith("alpha(P(13,6)) = 10  [")
+    assert second == "witness: u0 u3 u5 u7 u9 u11 v1 v2 v4 v6"
+
+
 def test_alpha_json_with_witness(capsys):
     code, out, _ = run(capsys, "alpha", "--n", "11", "--k", "4", "--witness", "--json")
     assert code == 0
@@ -64,6 +72,20 @@ def test_bounds_json(capsys):
     assert {b["kind"] for b in payload["all"]} >= {"lower", "upper"}
 
 
+def test_bounds_text(capsys):
+    code, out, _ = run(capsys, "bounds", "--n", "16", "--k", "4")
+    assert code == 0
+    assert out.splitlines() == [
+        "P(16,4): lower 14 [k4-residue], upper 14 [k4-residue], exact 14",
+        "  lower    3  even-k-ratio",
+        "  lower   12  even-even-gcd",
+        "  lower   14  even-even-tiling",
+        "  upper   16  spoke-matching",
+        "  upper   14  segment-density",
+        "  exact   14  k4-residue",
+    ]
+
+
 def test_table_csv_stdout(capsys):
     code, out, _ = run(capsys, "table", "--n-max", "6")
     assert code == 0
@@ -105,6 +127,15 @@ def test_table_file_error_exit_1(tmp_path, capsys):
         assert code == 1 and err.startswith("error:") and str(missing) in err, flag
 
 
+def test_table_conflicting_cache_exit_2(tmp_path, capsys):
+    cache_path = tmp_path / "c.jsonl"
+    tables.cache_append(cache_path, tables.TableCell(5, 1, 4, "closed-form", 0))
+    tables.cache_append(cache_path, tables.TableCell(5, 1, 3, "window-dp", 0))
+    code, out, err = run(capsys, "table", "--n-max", "6", "--cache", str(cache_path))
+    assert code == 2 and out == ""
+    assert err.startswith("consistency error:") and "(5,1)" in err
+
+
 def test_table_timeout_exit_3(tmp_path, capsys):
     code, out, err = run(capsys, "table", "--n-max", "13", "--budget-secs", "1e-9",
                          "--out", str(tmp_path / "t.csv"))
@@ -135,6 +166,53 @@ def test_decompose_json_schema(capsys):
     assert all(isinstance(v, int) for bag in payload["bags"] for v in bag)
     assert payload["validation"]["valid"] is True
     assert payload["trivial"] is False
+
+
+def test_decompose_text(capsys):
+    code, out, _ = run(capsys, "decompose", "--n", "20", "--k", "4", "--validate")
+    assert code == 0
+    assert out == "P(20,4): 11 bags, width 19\nvalid: True\n"
+    code, out, _ = run(capsys, "decompose", "--n", "5", "--k", "2")
+    assert code == 0
+    assert out == "P(5,2): 1 bags, width 9 (trivial single bag)\n"
+
+
+def test_decompose_validate_builds_and_checks_once(capsys, monkeypatch):
+    import petersen_alpha.decomposition as decomposition
+    import petersen_alpha.graph as graph
+
+    calls = {"adjacency": 0, "validate_decomposition": 0}
+
+    def counted(name, f):
+        def wrapper(*args):
+            calls[name] += 1
+            return f(*args)
+        return wrapper
+
+    # every module binding of the two names, wherever the CLI might reach them
+    for module in (graph, decomposition, cli):
+        for name in calls:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    code, out, _ = run(capsys, "decompose", "--n", "200", "--k", "6", "--validate", "--json")
+    assert code == 0 and json.loads(out)["validation"]["valid"] is True
+    assert calls == {"adjacency": 1, "validate_decomposition": 1}
+
+
+def test_decompose_failed_self_check_exit_2(capsys, monkeypatch):
+    import petersen_alpha.decomposition as decomposition
+
+    real = decomposition.validate_decomposition
+
+    def broken(g, d):
+        report = real(g, d)
+        report.occurrences_connected = False
+        return report
+
+    monkeypatch.setattr(decomposition, "validate_decomposition", broken)
+    code, out, err = run(capsys, "decompose", "--n", "20", "--k", "4", "--validate")
+    assert code == 2 and out == ""
+    assert err.startswith("internal error: extrapolated decomposition invalid for (20,4)")
 
 
 def test_decompose_trivial_flagged(capsys):

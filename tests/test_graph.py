@@ -160,6 +160,14 @@ def test_classify_empty_set_is_type3():
     assert c.kind == SegmentKind.TYPE3 and c.intersection_size == 0
 
 
+def test_classify_type1_pattern_is_type1():
+    from petersen_alpha.constructions import type1_pattern
+
+    g = petersen_graph(20, 4)
+    c = classify_segment(g, type1_pattern(g, 0), 0)
+    assert c.kind == SegmentKind.TYPE1 and c.intersection_size == 2 * g.k
+
+
 def _rotate(g, s, d):
     n = g.n
     out = set()
