@@ -14,6 +14,10 @@ with a "special" subtype when u_t is absent but could be added back inside the
 segment), or at most 2k-2 (type 3).  The spokes form a perfect matching of the
 segment, so the intersection can never exceed 2k.
 
+`petersen_violations` is the one check of which edges of P(n,k) lie inside a
+vertex set: witnesses and segments use it, and it never builds the graph.
+`adjacency` serves branch-and-reduce and the decomposition check.
+
 All functions here are pure; instances are immutable and safe to share.
 """
 
@@ -142,51 +146,45 @@ def segment_subgraph(
 ) -> tuple[AdjacencyGraph, tuple[int, ...]]:
     """Induced subgraph on a segment plus the local->canonical code mapping."""
     codes = segment_vertices(g, t, length)
-    return _induced(adjacency(g), codes), codes
-
-
-def _induced(full: AdjacencyGraph, codes: tuple[int, ...]) -> AdjacencyGraph:
-    """The subgraph of `full` induced by `codes`; local vertex i is codes[i]."""
     pos = {c: i for i, c in enumerate(codes)}
-    edges = [(pos[c], pos[d]) for c in codes for d in full.neighbors[c] if d in pos and c < d]
-    return AdjacencyGraph.from_edges(len(codes), edges)
+    edges = [(pos[a], pos[b]) for a, b in petersen_violations(g.n, g.k, codes)]
+    return AdjacencyGraph.from_edges(len(codes), edges), codes
 
 
-def _check_vertices(g: AdjacencyGraph, vertices: Iterable[int]) -> set[int]:
+def _check_vertices(vertex_count: int, vertices: Iterable[int]) -> set[int]:
     s = set(vertices)
     for v in s:
-        if not 0 <= v < g.vertex_count:
-            raise DomainError(f"vertex {v} out of range for graph on {g.vertex_count} vertices")
+        if not 0 <= v < vertex_count:
+            raise DomainError(f"vertex {v} out of range for graph on {vertex_count} vertices")
     return s
 
 
 def is_independent(g: AdjacencyGraph, vertices: Iterable[int]) -> bool:
     """True iff no edge of g has both endpoints in the set."""
-    s = _check_vertices(g, vertices)
+    s = _check_vertices(g.vertex_count, vertices)
     return not any(w in s for v in s for w in g.neighbors[v])
 
 
-def petersen_independent(n: int, k: int, vertices: Iterable[int]) -> bool:
-    """is_independent on P(n,k) without building it: each member checks its
-    outer edge u_i u_{i+1} and spoke u_i v_i, or its chord v_i v_{i+k}."""
+def petersen_violations(n: int, k: int, vertices: Iterable[int]) -> list[tuple[int, int]]:
+    """The edges (a, b), a < b, of P(n,k) with both ends in the set, sorted;
+    empty iff the set is independent.  The graph is not built: each member
+    u_i reads its outer edge u_i u_{i+1} and spoke u_i v_i, each v_i its
+    chord v_i v_{i+k}, so every edge is read once."""
     petersen_graph(n, k)
-    s = set(vertices)
-    for v in s:
-        if not 0 <= v < 2 * n:
-            raise DomainError(f"vertex {v} out of range for graph on {2 * n} vertices")
+    s = _check_vertices(2 * n, vertices)
+    edges = []
     for v in s:
         if v < n:
-            if (v + 1) % n in s or n + v in s:
-                return False
-        elif n + (v - n + k) % n in s:
-            return False
-    return True
-
-
-def violating_edges(g: AdjacencyGraph, vertices: Iterable[int]) -> list[tuple[int, int]]:
-    """All edges with both endpoints in the set (empty iff independent)."""
-    s = _check_vertices(g, vertices)
-    return [(v, w) for v in sorted(s) for w in g.neighbors[v] if w > v and w in s]
+            w = (v + 1) % n
+            if w in s:
+                edges.append((v, w) if v < w else (w, v))
+            if n + v in s:
+                edges.append((v, n + v))
+        else:
+            w = n + (v - n + k) % n
+            if w in s:
+                edges.append((v, w) if v < w else (w, v))
+    return sorted(edges)
 
 
 class SegmentKind(enum.Enum):
@@ -206,24 +204,20 @@ def classify_segment(g: GeneralizedPetersen, s: Iterable[int], t: int) -> Segmen
     """Classify the segment at t with respect to an independent set s.
 
     Intersection size 2k is type 1, 2k-1 is type 2 (special when u_t is not in
-    s and re-adding it keeps the trace independent inside the induced segment
-    subgraph), anything smaller is type 3.  Raises DomainError when s is not
-    independent, since the classification is only defined for independent sets.
+    s and re-adding it keeps the trace independent inside the segment, where
+    n > 2k leaves u_t only the neighbours u_{t+1} and v_t), anything smaller is
+    type 3.  Raises DomainError when s is not independent, since the
+    classification is only defined for independent sets.
     """
-    full = adjacency(g)
-    members = _check_vertices(full, s)
-    if not is_independent(full, members):
+    members = set(s)
+    if petersen_violations(g.n, g.k, members):
         raise DomainError("segment classification requires an independent set")
     k = g.k
-    codes = segment_vertices(g, t)
-    sub = _induced(full, codes)
-    local = {i for i, c in enumerate(codes) if c in members}
-    size = len(local)
+    size = len(members.intersection(segment_vertices(g, t)))
     if size == 2 * k:
         return SegmentClass(SegmentKind.TYPE1, size)
     if size == 2 * k - 1:
-        u_t_local = 0  # segment lists u_t first
-        if codes[u_t_local] not in members and is_independent(sub, local | {u_t_local}):
+        if members.isdisjoint((g.outer(t), g.outer(t + 1), g.inner(t))):
             return SegmentClass(SegmentKind.SPECIAL2, size)
         return SegmentClass(SegmentKind.TYPE2, size)
     return SegmentClass(SegmentKind.TYPE3, size)

@@ -44,7 +44,7 @@ import numpy as np
 
 from . import bounds as _bounds
 from .errors import BudgetExceededError, DomainError, InternalError
-from .graph import AdjacencyGraph, adjacency, is_independent, petersen_graph, petersen_independent
+from .graph import AdjacencyGraph, adjacency, is_independent, petersen_graph, petersen_violations
 
 K_DP_DEFAULT = 12
 _NEG = -(1 << 30)
@@ -276,7 +276,7 @@ def _dp_witness(n: int, k: int, seed: int, value: int, marks: list[tuple[int, np
         raise InternalError("witness backtrack did not return to the seed state")
     if len(members) != value:
         raise InternalError("witness size disagrees with the DP value")
-    if not petersen_independent(n, k, members):
+    if petersen_violations(n, k, members):
         raise InternalError("witness backtrack produced a dependent set")
     return tuple(sorted(members))
 
@@ -592,6 +592,8 @@ def alpha(
     start = time.perf_counter()
     if strategy not in ("auto", "closed", "dp", "bb"):
         raise DomainError(f"unknown strategy {strategy!r}")
+    if strategy == "closed" and want_witness:
+        raise DomainError("closed forms carry no witness")
 
     cf = _bounds.exact_closed_form(n, k)
     if cf is not None and (strategy == "closed" or (strategy == "auto" and not want_witness)):

@@ -138,13 +138,18 @@ def generate_table(
 ) -> list[TableCell]:
     """Compute every table cell up to n_max, reusing and extending the cache.
 
-    Cells run in a worker pool when jobs > 1.  Either way each cell is
-    appended to the cache as it arrives, in table order, so a crash keeps
-    every cell finished before it; the cache is written only by this
-    coordinating process, and the returned list is always sorted by (n, k)
-    so the rendered output is deterministic.  A last line that a crash cut
-    off is dropped before the first append, once per run.
+    Cells run in a pool of min(jobs, cells left) workers if that exceeds 1.
+    Either way each cell is appended to the cache as it arrives, in table
+    order, so a crash keeps every cell finished before it; the cache is
+    written only by this coordinating process, and the returned list is
+    always sorted by (n, k) so the rendered output is deterministic.  A last
+    line that a crash cut off is dropped before the first append, once per
+    run.
     """
+    if jobs < 1:
+        raise DomainError(f"jobs must be >= 1, got {jobs}")
+    if budget_secs is not None and not budget_secs > 0:
+        raise DomainError(f"budget_secs must be > 0 (or None for no budget), got {budget_secs}")
     wanted = table_cells(n_max)
     cached = cache_load(cache_path) if cache_path else {}
     done = {key: cached[key] for key in wanted if key in cached}
@@ -153,7 +158,8 @@ def generate_table(
     if work:
         if cache_path is not None:
             _drop_cut_last_line(cache_path)
-        with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else contextlib.nullcontext() as pool:
+        workers = min(jobs, len(work))
+        with ProcessPoolExecutor(max_workers=workers) if workers > 1 else contextlib.nullcontext() as pool:
             fresh = pool.map(_compute_cell, work) if pool else map(_compute_cell, work)
             for i, cell in enumerate(fresh, start=1):
                 done[(cell.n, cell.k)] = cell

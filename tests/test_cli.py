@@ -1,11 +1,14 @@
 import io
 import json
 import logging
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
 from petersen_alpha import InternalError, cli, tables
-from petersen_alpha.cli import main
+from petersen_alpha.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -51,6 +54,8 @@ def test_alpha_domain_error_exit_1(capsys):
 def test_alpha_forced_method_precondition_exit_1(capsys):
     code, _, err = run(capsys, "alpha", "--n", "13", "--k", "6", "--method", "closed")
     assert code == 1 and "closed form" in err
+    code, out, err = run(capsys, "alpha", "--n", "10", "--k", "2", "--method", "closed", "--witness")
+    assert code == 1 and out == "" and err == "error: closed forms carry no witness\n"
 
 
 def test_alpha_internal_error_exit_2(capsys, monkeypatch):
@@ -134,6 +139,11 @@ def test_table_conflicting_cache_exit_2(tmp_path, capsys):
     code, out, err = run(capsys, "table", "--n-max", "6", "--cache", str(cache_path))
     assert code == 2 and out == ""
     assert err.startswith("consistency error:") and "(5,1)" in err
+
+
+def test_table_rejects_zero_jobs_exit_1(capsys):
+    code, out, err = run(capsys, "table", "--n-max", "6", "--jobs", "0")
+    assert code == 1 and out == "" and err.startswith("error:") and "jobs" in err
 
 
 def test_table_timeout_exit_3(tmp_path, capsys):
@@ -223,7 +233,7 @@ def test_decompose_trivial_flagged(capsys):
 
 
 def test_construct_json(capsys):
-    code, out, _ = run(capsys, "construct", "--n", "16", "--k", "4", "--verify")
+    code, out, _ = run(capsys, "construct", "--n", "16", "--k", "4")
     assert code == 0
     payload = json.loads(out)
     assert payload["n"] == 16 and payload["k"] == 4
@@ -241,3 +251,15 @@ def test_usage_error_exit_1():
     with pytest.raises(SystemExit) as exc:
         main(["alpha", "--n", "10"])  # missing --k
     assert exc.value.code == 1
+
+
+def test_readme_cli_examples_parse():
+    """Every `petersen-alpha ...` line in README's sh blocks is a valid command
+    line, so the docs cannot keep a flag the parser has dropped."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    lines = [line for block in re.findall(r"```sh\n(.*?)```", readme, re.S)
+             for line in block.splitlines() if line.startswith("petersen-alpha ")]
+    assert len(lines) >= 6
+    parser = build_parser()
+    for line in lines:
+        parser.parse_args(shlex.split(line)[1:])

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from petersen_alpha import (
     AdjacencyGraph,
     DomainError,
+    SegmentClass,
     SegmentKind,
     adjacency,
     classify_segment,
@@ -15,7 +16,7 @@ from petersen_alpha import (
     segment_subgraph,
     segment_vertices,
 )
-from petersen_alpha.graph import petersen_independent, violating_edges
+from petersen_alpha.graph import petersen_violations
 
 valid_nk = st.integers(min_value=1, max_value=12).flatmap(
     lambda k: st.tuples(st.integers(min_value=2 * k + 1, max_value=60), st.just(k))
@@ -110,6 +111,9 @@ def test_segment_subgraph_is_induced_subgraph(n, k, t, length):
 
 
 def test_classify_segment_builds_adjacency_once(monkeypatch):
+    """Segments and witness checks read P(n,k)'s edge families directly:
+    none of them builds the full adjacency."""
+    import petersen_alpha.constructions as constructions
     import petersen_alpha.graph as graph
 
     calls = []
@@ -120,9 +124,13 @@ def test_classify_segment_builds_adjacency_once(monkeypatch):
         return real(g)
 
     monkeypatch.setattr(graph, "adjacency", counted)
+    monkeypatch.setattr(constructions, "adjacency", counted, raising=False)
     g = petersen_graph(200, 4)
     assert classify_segment(g, {0, 2}, 198).kind == SegmentKind.TYPE3
-    assert len(calls) == 1
+    assert len(calls) == 0
+    assert constructions.verify_witness(constructions.independent_set_even_even(200, 4))
+    assert segment_subgraph(g, 198)[0].edge_count == 19
+    assert len(calls) == 0
 
 
 def test_is_independent_basics():
@@ -145,7 +153,7 @@ def test_is_independent_matches_pairwise_check(nk, data):
         b not in adj.neighbors[a] for a, b in itertools.combinations(sorted(s), 2)
     )
     assert is_independent(adj, s) == brute
-    assert (len(violating_edges(adj, s)) == 0) == brute
+    assert (len(petersen_violations(n, k, s)) == 0) == brute
 
 
 def test_classify_requires_independent_set():
@@ -166,6 +174,38 @@ def test_classify_type1_pattern_is_type1():
     g = petersen_graph(20, 4)
     c = classify_segment(g, type1_pattern(g, 0), 0)
     assert c.kind == SegmentKind.TYPE1 and c.intersection_size == 2 * g.k
+
+
+@given(st.integers(min_value=1, max_value=6).flatmap(
+    lambda k: st.tuples(st.integers(min_value=2 * k + 1, max_value=40), st.just(k))), st.data())
+@settings(max_examples=40, deadline=None)
+def test_classify_segment_matches_definition(nk, data):
+    """Against the definition on the induced segment subgraph, at every t
+    (segments past n - 2k wrap), on independent sets made from a maximum one
+    with random members dropped and random vertices greedily added back."""
+    from petersen_alpha.solver import alpha_window_dp
+
+    n, k = nk
+    g = petersen_graph(n, k)
+    adj = adjacency(g)
+    s = set(data.draw(st.sets(st.sampled_from(alpha_window_dp(n, k, want_witness=True).witness))))
+    for v in data.draw(st.lists(st.integers(min_value=0, max_value=2 * n - 1), max_size=n)):
+        if v not in s and not s.intersection(adj.neighbors[v]):
+            s.add(v)
+    for t in range(n):
+        sub, codes = segment_subgraph(g, t)
+        local = {i for i, c in enumerate(codes) if c in s}
+        size = len(local)
+        if size == 2 * k:
+            kind = SegmentKind.TYPE1
+        elif size == 2 * k - 1:
+            # codes[0] is u_t
+            special = 0 not in local and is_independent(sub, local | {0})
+            kind = SegmentKind.SPECIAL2 if special else SegmentKind.TYPE2
+        else:
+            kind = SegmentKind.TYPE3
+        assert classify_segment(g, s, t) == SegmentClass(kind, size)
+    assert classify_segment(g, iter(s), n - 1) == classify_segment(g, s, n - 1)
 
 
 def _rotate(g, s, d):
@@ -219,7 +259,8 @@ def test_petersen_independent_matches_adjacency(data):
     n, k = data.draw(valid_nk)
     g = adjacency(petersen_graph(n, k))
     s = data.draw(st.sets(st.integers(min_value=0, max_value=2 * n - 1), max_size=n))
-    assert petersen_independent(n, k, s) == is_independent(g, s)
+    assert (not petersen_violations(n, k, s)) == is_independent(g, s)
+    assert petersen_violations(n, k, s) == [e for e in g.edges() if s.issuperset(e)]
     # an independent set plus the two ends of one wrap-around edge (outer
     # u_{n-1} u_0, or an inner chord v_i v_{i+k-n}) breaks only that edge
     i = data.draw(st.integers(min_value=n - k, max_value=n - 1))
@@ -229,14 +270,13 @@ def test_petersen_independent_matches_adjacency(data):
     for v in sorted(s - blocked):
         if not chosen.intersection(g.neighbors[v]):
             chosen.add(v)
-    assert petersen_independent(n, k, chosen) and is_independent(g, chosen)
+    assert not petersen_violations(n, k, chosen) and is_independent(g, chosen)
     broken = chosen | set(edge)
-    assert violating_edges(g, broken) == [edge]
-    assert not petersen_independent(n, k, broken)
+    assert petersen_violations(n, k, broken) == [edge]
 
 
 def test_petersen_independent_rejects_bad_input():
     with pytest.raises(DomainError):
-        petersen_independent(5, 2, [10])
+        petersen_violations(5, 2, [10])
     with pytest.raises(DomainError):
-        petersen_independent(4, 2, [])
+        petersen_violations(4, 2, [])

@@ -451,6 +451,8 @@ def test_dispatch_forced_preconditions():
         alpha(40, 13, "dp")
     with pytest.raises(DomainError):
         alpha(13, 6, "closed")
+    with pytest.raises(DomainError, match="closed forms carry no witness"):
+        alpha(10, 2, "closed", want_witness=True)
     with pytest.raises(DomainError):
         alpha(13, 6, "nonsense")
 

@@ -4,7 +4,7 @@ import logging
 
 import pytest
 
-from petersen_alpha import ConsistencyError
+from petersen_alpha import ConsistencyError, DomainError, tables
 from petersen_alpha.tables import (
     TableCell,
     cache_append,
@@ -165,6 +165,48 @@ def test_parallel_table_streams_cache_like_serial(tmp_path, caplog):
     assert len(records(serial)) == 54
     assert records(parallel) == records(serial)
     assert "computed 50/54 cells" in caplog.text
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records the pool size asked for and
+    maps in this process, so no worker is ever started."""
+
+    def __init__(self, sizes, max_workers):
+        sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+def test_pool_never_larger_than_the_work(tmp_path, monkeypatch):
+    sizes = []
+    monkeypatch.setattr(tables, "ProcessPoolExecutor",
+                        lambda max_workers: _RecordingPool(sizes, max_workers))
+    serial = generate_table(6, budget_secs=None)
+    assert sizes == []
+    assert generate_table(6, jobs=500, budget_secs=None) == serial  # 4 cells
+    assert generate_table(6, jobs=2, budget_secs=None) == serial
+    assert sizes == [4, 2]
+    # one cell left to compute runs in this process, whatever jobs asks for
+    path = tmp_path / "cache.jsonl"
+    for cell in serial[:3]:
+        cache_append(path, cell)
+    assert generate_table(6, cache_path=path, jobs=8, budget_secs=None) == serial
+    assert sizes == [4, 2]
+
+
+@pytest.mark.parametrize("jobs,budget_secs", [(0, None), (-3, None), (1, float("nan")),
+                                              (1, -1.0), (1, 0.0), (2, float("-inf"))])
+def test_generate_table_rejects_bad_jobs_and_budget(monkeypatch, jobs, budget_secs):
+    monkeypatch.setattr(tables, "ProcessPoolExecutor", None)  # a pool must not even be tried
+    with pytest.raises(DomainError):
+        generate_table(6, jobs=jobs, budget_secs=budget_secs)
 
 
 def test_timeout_cells_are_explicit(tmp_path):
