@@ -13,16 +13,19 @@ interpreters of
 
 and writes them with the machine, Python and numpy versions under the given
 label in BENCH_witness.json.  For each branch-reduce cell, alpha(n, k) as the
-table asks it or alpha_branch_reduce on P(n, k) without a hint, it records
-the median seconds over REPEATS plain interpreters, and from REPEATS more,
-in which solver._reduce and solver._clique_cover_bound are wrapped in
-timers, the median share of the call spent in each (the wrapping slows the
-call, so its totals are not the ones recorded), in BENCH_branch.json.
-Other labels in both files are left as they are.  --src times another
+table asks it or alpha_branch_reduce on P(n, k) without a hint (and so
+without the root skip that alpha() asks for), it records the median seconds
+over REPEATS plain interpreters, and from REPEATS more, in which
+solver._reduce and solver._clique_cover_bound are wrapped in timers, the
+median share of the call spent in each (the wrapping slows the call, so its
+totals are not the ones recorded), in BENCH_branch.json.
+Other labels in both files are left as they are.  --only witness or --only
+branch times and writes one of the two files, so that a before/after pair
+for one layer leaves the other file's pairs alone.  --src times another
 source tree, such as a checkout of the parent commit:
 
     python3 scripts/bench.py --label after
-    python3 scripts/bench.py --label before --src ../parent/src
+    python3 scripts/bench.py --label before --src ../parent/src --only branch
 """
 
 import argparse
@@ -132,25 +135,42 @@ def machine() -> dict:
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--label", required=True, help="key of this run in BENCH_witness.json and BENCH_branch.json")
+    parser.add_argument("--label", required=True, help="key of this run in the files it writes")
     parser.add_argument("--src", type=Path, default=ROOT / "src", help="source tree to time")
+    parser.add_argument("--only", choices=["witness", "branch"], default=None,
+                        help="time and write only BENCH_witness.json or only BENCH_branch.json")
     args = parser.parse_args()
 
+    if args.only != "branch":
+        bench_witness(args.src, args.label)
+    if args.only != "witness":
+        bench_branch(args.src, args.label)
+    return 0
+
+
+def bench_witness(src: Path, label: str) -> None:
+    """Time the window-DP CELLS and record them under `label` in BENCH_witness.json."""
     rows = []
     for n, k in CELLS:
-        value = statistics.median(run(args.src, SAMPLE, n, k, 0)[0] for _ in range(REPEATS))
-        both = [run(args.src, SAMPLE, n, k, 1) for _ in range(REPEATS)]
+        value = statistics.median(run(src, SAMPLE, n, k, 0)[0] for _ in range(REPEATS))
+        both = [run(src, SAMPLE, n, k, 1) for _ in range(REPEATS)]
         total = statistics.median(t for t, _ in both)
         witness = statistics.median(w for _, w in both)
         rows.append({"n": n, "k": k, "value_s": round(value, 5),
                      "with_witness_s": round(total, 5), "witness_s": round(witness, 5)})
         print(f"({n},{k}) value {value * 1000:.1f} ms  with witness {total * 1000:.1f} ms"
               f"  of which witness {witness * 1000:.1f} ms", flush=True)
+    record(OUT, label, rows, machine(),
+           "median seconds over fresh interpreters of alpha_window_dp without and "
+           "with a witness, and of the witness phase (_dp_witness) inside the latter")
 
+
+def bench_branch(src: Path, label: str) -> None:
+    """Time the BRANCH_CELLS and record them under `label` in BENCH_branch.json."""
     branch_rows = []
     for call, n, k in BRANCH_CELLS:
-        seconds = statistics.median(run(args.src, BRANCH_SAMPLE, call, n, k, 0)[0] for _ in range(REPEATS))
-        wrapped = [run(args.src, BRANCH_SAMPLE, call, n, k, 1) for _ in range(REPEATS)]
+        seconds = statistics.median(run(src, BRANCH_SAMPLE, call, n, k, 0)[0] for _ in range(REPEATS))
+        wrapped = [run(src, BRANCH_SAMPLE, call, n, k, 1) for _ in range(REPEATS)]
         reduce_share = statistics.median(r / t for t, r, _ in wrapped)
         bound_share = statistics.median(c / t for t, _, c in wrapped)
         branch_rows.append({"call": call, "n": n, "k": k, "s": round(seconds, 5),
@@ -158,16 +178,11 @@ def main() -> int:
                             "clique_cover_share": round(bound_share, 3)})
         print(f"{call}({n},{k}) {seconds * 1000:.1f} ms  _reduce {reduce_share:.0%}"
               f"  _clique_cover_bound {bound_share:.0%}", flush=True)
-
-    record(OUT, args.label, rows, machine(),
-           "median seconds over fresh interpreters of alpha_window_dp without and "
-           "with a witness, and of the witness phase (_dp_witness) inside the latter")
-    record(BRANCH_OUT, args.label, branch_rows, machine(),
+    record(BRANCH_OUT, label, branch_rows, machine(),
            "median seconds over fresh interpreters of alpha(n, k) (call 'alpha') or of "
            "alpha_branch_reduce on P(n, k) without a hint (call 'unhinted'), and the "
            "median shares of the call spent in solver._reduce and "
            "solver._clique_cover_bound, timed in separate wrapped interpreters")
-    return 0
 
 
 def record(path: Path, label: str, rows: list[dict], machine: dict, what: str) -> None:

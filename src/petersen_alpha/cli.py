@@ -99,7 +99,7 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_conjecture(args) -> int:
-    cells = tables.generate_table(args.n_max, budget_secs=None)
+    cells = tables.generate_table(args.n_max, cache_path=args.cache, budget_secs=None)
     report = tables.check_conjecture(args.n_max, {(c.n, c.k): c.alpha for c in cells})
     if args.json:
         _emit_json(report.to_dict())
@@ -169,6 +169,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("conjecture", help="check beta <= n + ceil(n/5) on exact values")
     p.add_argument("--n-max", type=int, required=True)
+    p.add_argument("--cache", type=str, default=None, help="JSONL result cache to reuse/extend")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_conjecture)
 

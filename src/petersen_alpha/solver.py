@@ -22,7 +22,14 @@ Three independent routes compute alpha(P(n,k)):
   The search is one depth-first loop over an explicit stack against one
   incumbent, the largest size found so far; each node carries a trail of
   what the levels above it took and folded, and a leaf rebuilds its set
-  from that trail only when it beats the incumbent.
+  from that trail only when it beats the incumbent.  On P(n,k) itself the
+  dispatcher lets the search start at the root's exclusion child of u_0 and
+  never search the root's inclusion child.  The rotation i -> i + 1 is an
+  automorphism and the outer cycle is not independent, so some maximum set
+  misses u_0; the graph is cubic, so the root reduces nothing and branches
+  on vertex 0 (u_0); its exclusion child is searched first and so reaches
+  alpha, and the inclusion child can only tie, which never replaces the
+  incumbent.  Every value and witness stays that of the whole search.
 
 * a tiny exhaustive oracle (one memoized subset recursion, at most 32
   vertices) that the test suite uses as ground truth.
@@ -418,8 +425,8 @@ def _unwind(trail) -> set[int]:
     return out
 
 
-def _best_set(adj: dict[int, int], next_id: int, best: int,
-              deadline: float | None) -> tuple[int, set[int] | None]:
+def _best_set(adj: dict[int, int], next_id: int, best: int, deadline: float | None,
+              *, skip_root_include: bool = False) -> tuple[int, set[int] | None]:
     """The first maximum independent set of adj in exclusion-first search
     order and its size, if that size beats `best`; else (best, None), which
     guarantees alpha(adj) <= best.
@@ -430,8 +437,21 @@ def _best_set(adj: dict[int, int], next_id: int, best: int,
     the root), the size fixed above it and its trail.  A leaf rebuilds its
     set only when it beats `best`, so the set a search returns does not
     depend on the `best` it started from.
+
+    With `skip_root_include` the stack starts at the root's exclusion child
+    of vertex 0 instead of the root, and the root's inclusion child is never
+    searched.  That is the same search, with the same result, whenever the
+    root is irreducible, branches on vertex 0 and some maximum set misses
+    vertex 0: the exclusion child comes first and then reaches alpha on its
+    own, and the inclusion child could only tie, which never replaces the
+    incumbent.  All three hold on P(n,k), a cubic graph whose rotation
+    i -> i + 1 moves any maximum set (which must miss some outer vertex) to
+    one that misses u_0.
     """
-    stack = [(adj, next_id, (1 << next_id) - 1, 0, None)]
+    if skip_root_include:  # the root's exclusion child of vertex 0
+        stack = [(_delete(adj, 1, adj[0]), next_id, adj[0], 0, None)]
+    else:
+        stack = [(adj, next_id, (1 << next_id) - 1, 0, None)]
     leaf = None
     while stack:
         adj, next_id, dirty, size, trail = stack.pop()
@@ -473,6 +493,7 @@ def alpha_branch_reduce(
     *,
     lower_hint: int = 0,
     deadline: float | None = None,
+    skip_root_include: bool = False,
 ) -> ExactResult:
     """Exact alpha of an arbitrary simple graph by branch and reduce.
 
@@ -482,10 +503,18 @@ def alpha_branch_reduce(
     optimum.  The hint does not change which set is returned.  A disconnected
     graph is searched whole, not component by component, so a union of
     several copies of a hard graph costs far more than the copies apart.
+
+    `skip_root_include=True` is a promise by the caller that g is the
+    adjacency of `petersen_graph(n, k)` for some (n, k), and so that some
+    maximum set misses vertex 0 (u_0).  The search then leaves out the
+    root's inclusion child of vertex 0, which on such a graph changes
+    neither the value nor the witness; on any other graph it may return a
+    wrong answer.  The default searches the whole tree.
     """
     start = time.perf_counter()
     _check_deadline(deadline)
-    size, chosen = _best_set(_graph_to_masks(g), g.vertex_count, lower_hint - 1, deadline)
+    size, chosen = _best_set(_graph_to_masks(g), g.vertex_count, lower_hint - 1, deadline,
+                             skip_root_include=skip_root_include)
     if chosen is None:
         # a search from lower_hint - 1 finds a set whenever alpha >= lower_hint
         raise InternalError(f"lower bound hint {lower_hint} exceeds the optimum (alpha <= {lower_hint - 1})")
@@ -556,7 +585,11 @@ def maximum_independent_sets(g: AdjacencyGraph) -> list[frozenset[int]]:
 # unless n = 3k), so its search tree grows about exponentially with the
 # vertex count; over the grid k moves its time far less than n does, and the
 # model leaves k out.  The grid ends at n = _FIT_N_MAX; past it the model is
-# not trusted and every k <= K_DP_DEFAULT stays on the DP.
+# not trusted and every k <= K_DP_DEFAULT stays on the DP.  _BR_COST and
+# _BR_RATE were fitted before branch-reduce skipped the root's inclusion
+# child on P(n,k), which takes about 40% off its time, so the crossover is
+# conservative: some cells near it run the DP where branch-reduce would
+# finish first.  A refit would move those cells' routes.
 _DP_COST = 2.9e-9
 _BR_COST = 1.7e-3
 _BR_RATE = 0.0508
@@ -606,4 +639,5 @@ def alpha(
 
     hint = max((b.value for b in _bounds.lower_bounds(n, k)), default=0)
     hint = max(hint, cf.value if cf else 0)
-    return alpha_branch_reduce(adjacency(g), lower_hint=hint, deadline=deadline)
+    # g is P(n,k) itself, so the search may skip the root's inclusion child
+    return alpha_branch_reduce(adjacency(g), lower_hint=hint, deadline=deadline, skip_root_include=True)

@@ -219,15 +219,15 @@ def test_criterion_9_engine_cross_validation():
 
 def test_criterion_10_fixed_k_linear_scaling():
     alpha_window_dp(200, 4)  # warm-up
-    def median_time(n: int) -> float:
-        samples = []
-        for _ in range(3):
+    # 7 interleaved samples of each size (a few ms each): a burst of load
+    # from another process on a shared machine slows both sizes alike, and
+    # the medians ride it out
+    samples = {1000: [], 4000: []}
+    for _ in range(7):
+        for n, times in samples.items():
             t0 = time.perf_counter()
             alpha_window_dp(n, 4)
-            samples.append(time.perf_counter() - t0)
-        return statistics.median(samples)
-
-    t1000 = median_time(1000)
-    t4000 = median_time(4000)
+            times.append(time.perf_counter() - t0)
+    t1000, t4000 = (statistics.median(times) for times in samples.values())
     assert t4000 <= 4.0 * t1000, f"t(4000)={t4000:.4f}s > 4 x t(1000)={t1000:.4f}s"
     print(f"\nACCEPTANCE 10: PASS - t(4000)/t(1000) = {t4000 / t1000:.2f} <= 4")

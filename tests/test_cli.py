@@ -167,6 +167,21 @@ def test_conjecture_json(capsys):
     assert payload["n_max"] == 8
 
 
+def test_conjecture_from_cache_copy_solves_nothing(tmp_path, capsys, monkeypatch):
+    plain = run(capsys, "conjecture", "--n-max", "20")
+    cache_path = tmp_path / "c.jsonl"
+    committed = (Path(__file__).resolve().parents[1] / "data" / "alpha_n77.jsonl").read_bytes()
+    cache_path.write_bytes(committed)
+
+    def refuse(args):
+        raise AssertionError(f"cell {args[:2]} was solved, not read from the cache")
+
+    monkeypatch.setattr(tables, "_compute_cell", refuse)
+    assert run(capsys, "conjecture", "--n-max", "20", "--cache", str(cache_path)) == plain
+    assert plain[0] == 0
+    assert cache_path.read_bytes() == committed
+
+
 def test_decompose_json_schema(capsys):
     code, out, _ = run(capsys, "decompose", "--n", "10", "--k", "2", "--validate", "--json")
     assert code == 0

@@ -21,6 +21,7 @@ from petersen_alpha import (
     is_independent,
     maximum_independent_sets,
     petersen_graph,
+    solver,
 )
 from petersen_alpha.solver import (
     _BLOCK,
@@ -114,6 +115,43 @@ def test_branch_reduce_lower_hint_contract():
     assert hinted.value == plain.value and hinted.witness == plain.witness
     with pytest.raises(InternalError):
         alpha_branch_reduce(g, lower_hint=plain.value + 1)
+
+
+def test_branch_reduce_never_skips_by_default():
+    """Only a caller that promises P(n,k) gets the root skip: on the path
+    0-1-2, leaving out the root's inclusion child of vertex 0 would miss the
+    only maximum set."""
+    path = AdjacencyGraph.from_edges(3, [(0, 1), (1, 2)])
+    r = alpha_branch_reduce(path)
+    assert (r.value, r.witness) == (2, (0, 2))
+
+
+def test_alpha_asks_for_the_root_skip(monkeypatch):
+    calls = []
+
+    def spy(g, **kwargs):
+        calls.append(kwargs["skip_root_include"])
+        return alpha_branch_reduce(g, **kwargs)
+
+    monkeypatch.setattr(solver, "alpha_branch_reduce", spy)
+    alpha(29, 13, "bb")
+    assert calls == [True]
+
+
+@given(st.integers(min_value=5, max_value=30).flatmap(
+    lambda n: st.tuples(st.just(n), st.integers(min_value=1, max_value=(n - 1) // 2))), st.data())
+@settings(max_examples=100, deadline=None)
+def test_root_skip_matches_full_search(cell, data):
+    """On P(n,k), leaving out the root's inclusion child of u_0 changes
+    neither the value nor the witness, at every valid lower hint, and an
+    unsound hint still raises."""
+    g = adjacency(petersen_graph(*cell))
+    full = alpha_branch_reduce(g)
+    hint = data.draw(st.integers(min_value=0, max_value=full.value))
+    skipped = alpha_branch_reduce(g, lower_hint=hint, skip_root_include=True)
+    assert (skipped.value, skipped.witness) == (full.value, full.witness)
+    with pytest.raises(InternalError):
+        alpha_branch_reduce(g, lower_hint=full.value + 1, skip_root_include=True)
 
 
 @st.composite
