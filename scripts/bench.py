@@ -8,21 +8,22 @@ interpreters of
 
     value_s           alpha_window_dp(n, k)
     with_witness_s    alpha_window_dp(n, k, want_witness=True)
-    witness_s         the part of with_witness_s spent in solver._dp_witness
+    witness_s         the part of with_witness_s spent in windowdp._dp_witness
                       (the re-sweep, the backtrack and its checks)
 
 and writes them with the machine, Python and numpy versions under the given
 label in BENCH_witness.json.  For each branch-reduce cell, alpha(n, k) as the
-table asks it or alpha_branch_reduce on P(n, k) without a hint (and so
-without the root skip that alpha() asks for), it records the median seconds
-over REPEATS plain interpreters, and from REPEATS more, in which
-solver._reduce and solver._clique_cover_bound are wrapped in timers, the
-median share of the call spent in each (the wrapping slows the call, so its
-totals are not the ones recorded), in BENCH_branch.json.
-Other labels in both files are left as they are.  --only witness or --only
-branch times and writes one of the two files, so that a before/after pair
-for one layer leaves the other file's pairs alone.  --src times another
-source tree, such as a checkout of the parent commit:
+table asks it or alpha_branch_reduce on the adjacency of P(n, k) without a
+hint (an AdjacencyGraph, so without the root skip that P(n, k) itself gets),
+it records the median seconds over REPEATS plain interpreters, and from
+REPEATS more, in which solver._reduce and solver._clique_cover_bound are
+wrapped in timers, the median share of the call spent in each (the wrapping
+slows the call, so its totals are not the ones recorded), in
+BENCH_branch.json.  Other labels in both files are left as they are.
+--only witness or --only branch times and writes one of the two files, so
+that a before/after pair for one layer leaves the other file's pairs alone.
+--src times another source tree, such as a checkout of the parent commit
+(the witness samples need one with the windowdp module):
 
     python3 scripts/bench.py --label after
     python3 scripts/bench.py --label before --src ../parent/src --only branch
@@ -53,17 +54,17 @@ BRANCH_CELLS = [("alpha", 77, 37), ("alpha", 79, 37), ("alpha", 84, 41), ("alpha
 
 SAMPLE = """
 import sys, time
-from petersen_alpha import solver
+from petersen_alpha import solver, windowdp
 n, k, witness = int(sys.argv[1]), int(sys.argv[2]), sys.argv[3] == "1"
 inner = [0.0]
-dp_witness = solver._dp_witness
+dp_witness = windowdp._dp_witness
 def timed(*args):
     t0 = time.perf_counter()
     try:
         return dp_witness(*args)
     finally:
         inner[0] += time.perf_counter() - t0
-solver._dp_witness = timed
+windowdp._dp_witness = timed
 solver.alpha_window_dp(11, 3, want_witness=witness)  # warm-up; no cell has k = 3
 inner[0] = 0.0
 t0 = time.perf_counter()

@@ -1,7 +1,10 @@
 import hashlib
 import inspect
+import os
+import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +15,7 @@ from petersen_alpha import (
     AdjacencyGraph,
     BudgetExceededError,
     DomainError,
+    GeneralizedPetersen,
     InternalError,
     adjacency,
     alpha,
@@ -23,19 +27,8 @@ from petersen_alpha import (
     petersen_graph,
     solver,
 )
-from petersen_alpha.solver import (
-    _BLOCK,
-    _NEG,
-    _bits,
-    _clique_cover_bound,
-    _delete,
-    _dp_is_cheaper,
-    _dp_tables,
-    _graph_to_masks,
-    _reduce,
-    _sweep,
-    _transfer_block,
-)
+from petersen_alpha.solver import _bits, _clique_cover_bound, _delete, _dp_is_cheaper, _graph_to_masks, _reduce
+from petersen_alpha.windowdp import _BLOCK, _NEG, _dp_tables, _sweep, _transfer_block
 
 
 def cycle(m: int) -> AdjacencyGraph:
@@ -74,6 +67,34 @@ def test_window_dp_examples(n, k, expected):
 def test_window_dp_cap():
     with pytest.raises(DomainError):
         alpha_window_dp(40, 13)
+
+
+NUMPY_ON_DEMAND = """
+import sys
+from petersen_alpha import DomainError, alpha, alpha_window_dp, best_bounds, cli, tables
+best_bounds(63, 5)
+assert alpha(63, 1).method == "closed-form"
+assert alpha(29, 13).method == "branch-reduce"
+try:
+    alpha_window_dp(40, 13)
+    raise AssertionError("alpha_window_dp(40, 13) ran")
+except DomainError:
+    pass
+assert "numpy" not in sys.modules
+r = alpha(63, 4)  # no closed form for k = 4, n = 7 mod 8
+assert r.method == "window-dp" and "numpy" in sys.modules
+print(r.value)
+"""
+
+
+def test_numpy_loads_only_when_a_dp_runs(reference_alpha):
+    """A fresh interpreter imports the package, its CLI and tables, and
+    answers bounds, a closed form, a branch-reduce cell and a refused DP
+    call without numpy; the first DP run loads it."""
+    env = dict(os.environ, PYTHONPATH=str(Path(solver.__file__).parent.parent))
+    proc = subprocess.run([sys.executable, "-c", NUMPY_ON_DEMAND], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) == reference_alpha[(63, 4)]
 
 
 def test_branch_reduce_examples():
@@ -130,12 +151,12 @@ def test_alpha_asks_for_the_root_skip(monkeypatch):
     calls = []
 
     def spy(g, **kwargs):
-        calls.append(kwargs["skip_root_include"])
+        calls.append(g)
         return alpha_branch_reduce(g, **kwargs)
 
     monkeypatch.setattr(solver, "alpha_branch_reduce", spy)
     alpha(29, 13, "bb")
-    assert calls == [True]
+    assert [type(g) for g in calls] == [GeneralizedPetersen]
 
 
 @given(st.integers(min_value=5, max_value=30).flatmap(
@@ -145,13 +166,12 @@ def test_root_skip_matches_full_search(cell, data):
     """On P(n,k), leaving out the root's inclusion child of u_0 changes
     neither the value nor the witness, at every valid lower hint, and an
     unsound hint still raises."""
-    g = adjacency(petersen_graph(*cell))
-    full = alpha_branch_reduce(g)
+    full = alpha_branch_reduce(adjacency(petersen_graph(*cell)))
     hint = data.draw(st.integers(min_value=0, max_value=full.value))
-    skipped = alpha_branch_reduce(g, lower_hint=hint, skip_root_include=True)
+    skipped = alpha_branch_reduce(petersen_graph(*cell), lower_hint=hint)
     assert (skipped.value, skipped.witness) == (full.value, full.witness)
     with pytest.raises(InternalError):
-        alpha_branch_reduce(g, lower_hint=full.value + 1, skip_root_include=True)
+        alpha_branch_reduce(petersen_graph(*cell), lower_hint=full.value + 1)
 
 
 @st.composite
