@@ -14,11 +14,11 @@ interpreters of
 and writes them with the machine, Python and numpy versions under the given
 label in BENCH_witness.json.  For each branch-reduce cell, alpha(n, k) as the
 table asks it or alpha_branch_reduce on the adjacency of P(n, k) without a
-hint (an AdjacencyGraph, so without the root skip that P(n, k) itself gets),
-it records the median seconds over REPEATS plain interpreters, and from
-REPEATS more, in which solver._reduce and solver._clique_cover_bound are
-wrapped in timers, the median share of the call spent in each (the wrapping
-slows the call, so its totals are not the ones recorded), in
+hint (an AdjacencyGraph, so searched whole, where P(n, k) itself is searched
+without u_0), it records the median seconds over REPEATS plain interpreters,
+and from REPEATS more, in which solver._reduce and solver._clique_cover_bound
+are wrapped in timers, the median share of the call spent in each (the
+wrapping slows the call, so its totals are not the ones recorded), in
 BENCH_branch.json.  Other labels in both files are left as they are.
 --only witness or --only branch times and writes one of the two files, so
 that a before/after pair for one layer leaves the other file's pairs alone.

@@ -16,18 +16,15 @@ Three independent routes compute alpha(P(n,k)):
   The search is one depth-first loop over an explicit stack against one
   incumbent, the largest size found so far; each node carries a trail of
   what the levels above it took and folded, and a leaf rebuilds its set
-  from that trail only when it beats the incumbent.  On P(n,k) itself (a
-  GeneralizedPetersen) the search starts at the root's exclusion child of
-  u_0 and never searches the root's inclusion child.  The rotation i -> i+1
-  is an automorphism and the outer cycle is not independent, so some
-  maximum set misses u_0; the graph is cubic, so the root reduces nothing
-  and branches on vertex 0 (u_0); its exclusion child is searched first and
-  so reaches alpha, and the inclusion child can only tie, which never
-  replaces the incumbent.  Every value and witness stays that of the whole
-  search.
+  from that trail only when it beats the incumbent.
 
 * a tiny exhaustive oracle (one memoized subset recursion, at most 32
   vertices) that the test suite uses as ground truth.
+
+Both exact engines on P(n,k) use one fact.  The rotation i -> i+1 is an
+automorphism and the outer cycle is not independent, so for any outer vertex
+some maximum set misses it.  Branch-reduce searches P(n,k) - u_0, and the
+window DP seeds only the boundary states with u_{n-1} out.
 
 All engines return the same values.  The dispatcher answers from a closed
 form when one applies, and otherwise runs whichever of the DP and
@@ -221,8 +218,8 @@ def _unwind(trail) -> set[int]:
     return out
 
 
-def _best_set(adj: dict[int, int], next_id: int, best: int, deadline: float | None,
-              *, skip_root_include: bool = False) -> tuple[int, set[int] | None]:
+def _best_set(adj: dict[int, int], next_id: int, best: int,
+              deadline: float | None) -> tuple[int, set[int] | None]:
     """The first maximum independent set of adj in exclusion-first search
     order and its size, if that size beats `best`; else (best, None), which
     guarantees alpha(adj) <= best.
@@ -233,21 +230,8 @@ def _best_set(adj: dict[int, int], next_id: int, best: int, deadline: float | No
     the root), the size fixed above it and its trail.  A leaf rebuilds its
     set only when it beats `best`, so the set a search returns does not
     depend on the `best` it started from.
-
-    With `skip_root_include` the stack starts at the root's exclusion child
-    of vertex 0 instead of the root, and the root's inclusion child is never
-    searched.  That is the same search, with the same result, whenever the
-    root is irreducible, branches on vertex 0 and some maximum set misses
-    vertex 0: the exclusion child comes first and then reaches alpha on its
-    own, and the inclusion child could only tie, which never replaces the
-    incumbent.  All three hold on P(n,k), a cubic graph whose rotation
-    i -> i + 1 moves any maximum set (which must miss some outer vertex) to
-    one that misses u_0.
     """
-    if skip_root_include:  # the root's exclusion child of vertex 0
-        stack = [(_delete(adj, 1, adj[0]), next_id, adj[0], 0, None)]
-    else:
-        stack = [(adj, next_id, (1 << next_id) - 1, 0, None)]
+    stack = [(adj, next_id, (1 << next_id) - 1, 0, None)]
     leaf = None
     while stack:
         adj, next_id, dirty, size, trail = stack.pop()
@@ -293,9 +277,8 @@ def alpha_branch_reduce(
     """Exact alpha of an arbitrary simple graph by branch and reduce.
 
     g is an AdjacencyGraph, always searched whole, or P(n,k) as
-    `petersen_graph(n, k)` returns it.  Some maximum set of P(n,k) misses
-    vertex 0 (u_0), so there the search leaves out the root's inclusion
-    child of vertex 0, which changes neither the value nor the witness.
+    `petersen_graph(n, k)` returns it, searched without u_0 (vertex 0) by
+    the rotation fact of the module docstring.
 
     `lower_hint` must be a valid lower bound on alpha: the search starts by
     looking for a set of at least that size, which prunes from the first
@@ -308,8 +291,10 @@ def alpha_branch_reduce(
     _check_deadline(deadline)
     petersen = isinstance(g, GeneralizedPetersen)
     g = adjacency(g) if petersen else g
-    size, chosen = _best_set(_graph_to_masks(g), g.vertex_count, lower_hint - 1, deadline,
-                             skip_root_include=petersen)
+    adj = _graph_to_masks(g)
+    if petersen:  # some maximum set misses u_0 (module docstring)
+        adj = _delete(adj, 1, adj[0])
+    size, chosen = _best_set(adj, g.vertex_count, lower_hint - 1, deadline)
     if chosen is None:
         # a search from lower_hint - 1 finds a set whenever alpha >= lower_hint
         raise InternalError(f"lower bound hint {lower_hint} exceeds the optimum (alpha <= {lower_hint - 1})")
@@ -375,16 +360,18 @@ def maximum_independent_sets(g: AdjacencyGraph) -> list[frozenset[int]]:
 # scripts/fit_dispatch.py from the timing grid recorded in BENCH_dispatch.json:
 #     window DP       _DP_COST * 4**k * n
 #     branch-reduce   _BR_COST * exp(_BR_RATE * n)
-# The DP sweeps 2^(k+1) seeds over 2^(k+1) states per column.  Branch-reduce
+# The DP sweeps 2^k seeds over 2^(k+1) states per column.  Branch-reduce
 # finds no useful clique-cover bound on these cubic graphs (triangle-free
 # unless n = 3k), so its search tree grows about exponentially with the
 # vertex count; over the grid k moves its time far less than n does, and the
 # model leaves k out.  The grid ends at n = _FIT_N_MAX; past it the model is
-# not trusted and every k <= K_DP_DEFAULT stays on the DP.  _BR_COST and
-# _BR_RATE were fitted before branch-reduce skipped the root's inclusion
-# child on P(n,k), which takes about 40% off its time, so the crossover is
-# conservative: some cells near it run the DP where branch-reduce would
-# finish first.  A refit would move those cells' routes.
+# not trusted and every k <= K_DP_DEFAULT stays on the DP.  Both costs were
+# fitted before the engines used the rotation fact of the module docstring:
+# _BR_COST and _BR_RATE before branch-reduce left out u_0, which takes about
+# 40% off its time, and _DP_COST before the DP seeded 2^k instead of
+# 3 * 2^(k-1) boundary states, so it overrates the DP by about 1.5x.  The
+# routes are kept as they are; a refit would move some cells near the
+# crossover.
 _DP_COST = 2.9e-9
 _BR_COST = 1.7e-3
 _BR_RATE = 0.0508

@@ -63,26 +63,29 @@ def table_cells(n_max: int) -> list[tuple[int, int]]:
 
 
 def cache_load(path: str | Path) -> dict[tuple[int, int], TableCell]:
-    """Load the JSONL cache; malformed lines (including any record whose
-    n, k, alpha or elapsed_ms is not an integer, such as a timeout record)
-    are skipped with a warning, so their cells are computed again;
-    conflicting alpha values for one cell are a hard error."""
+    """Load the JSONL cache; malformed lines (including any line that is not
+    UTF-8, any record whose n, k, alpha or elapsed_ms is not an integer, such
+    as a timeout record, and any record whose method names no solver) are
+    skipped with a warning, so their cells are computed again; conflicting
+    alpha values for one cell are a hard error."""
     out: dict[tuple[int, int], TableCell] = {}
     p = Path(path)
     if not p.exists():
         return out
-    with p.open() as f:
+    with p.open("rb") as f:
         for lineno, line in enumerate(f, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                rec = json.loads(line)
+                rec = json.loads(line.decode())
                 # checked, not converted: int() would read 4.7 as 4 and true as 1
                 if not all(type(rec[key]) is int for key in ("n", "k", "alpha", "elapsed_ms")):
                     raise ValueError("n, k, alpha and elapsed_ms must be integers")
-                cell = TableCell(rec["n"], rec["k"], rec["alpha"], str(rec["method"]), rec["elapsed_ms"])
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError):
+                if rec["method"] not in ("closed-form", "window-dp", "branch-reduce"):
+                    raise ValueError("method must name a solver")
+                cell = TableCell(rec["n"], rec["k"], rec["alpha"], rec["method"], rec["elapsed_ms"])
+            except (KeyError, TypeError, ValueError):  # UnicodeDecodeError and JSONDecodeError too
                 log.warning("%s:%d: skipping malformed cache line", p, lineno)
                 continue
             prev = out.get((cell.n, cell.k))

@@ -31,7 +31,9 @@ from .solver import ExactResult, _check_deadline
 # and leads to state (a, ((w << 1) | b) mod 2^k) with gain a + b.  Seeding the
 # sweep with a boundary state makes the first k columns check the wrap edges
 # against the seeded bits; accepting only terminal states equal to the seed
-# closes the cycle.
+# closes the cycle.  The seeds are the 2^k states with u_bit = 0, u_{n-1} out,
+# by the rotation fact of solver's module docstring; they come first in state
+# order, so the first maximal seed is the one a sweep of all states would pick.
 #
 # States (u_bit=1, odd w) violate the spoke at their own column, so no
 # transition ever writes them; they stay at the sentinel (or, after a block
@@ -90,14 +92,6 @@ def _sweep(T: np.ndarray, tmp: tuple[np.ndarray, ...], columns: int,
     return (at + columns) % depth
 
 
-def _boundary_states(k: int) -> np.ndarray:
-    """Seed states, skipping those violating the u_{n-1} v_{n-1} spoke."""
-    states = np.arange(1 << (k + 1), dtype=np.int64)
-    ub = states >> k
-    newest = states & 1
-    return states[~((ub == 1) & (newest == 1))]
-
-
 _NEG = -(1 << 30)  # the sentinel of unreachable states
 # For k <= _SMALL_K the value sweep takes _BLOCK columns at a time through a
 # transfer matrix: (2000,4) takes 3.1 ms this way and 36.7 ms by columns.
@@ -153,13 +147,13 @@ def _final_values(n: int, k: int, seeds: np.ndarray, deadline: float | None,
 def solve(n: int, k: int, want_witness: bool, deadline: float | None) -> ExactResult:
     """alpha_window_dp on arguments it has checked."""
     start = time.perf_counter()
-    states = _boundary_states(k)
+    seeds = np.arange(1 << k)
     # 2^18 states per chunk: each value table is 0.5 MB of int16 and stays
     # in cache across the n columns; every k <= 8 is still a single chunk
     chunk_rows = max(1, (1 << 18) >> (k + 1))
     best, seed, marks = -1, 0, []
-    for lo in range(0, len(states), chunk_rows):
-        chunk = states[lo : lo + chunk_rows]
+    for lo in range(0, len(seeds), chunk_rows):
+        chunk = seeds[lo : lo + chunk_rows]
         checkpoints = [] if want_witness else None
         finals = _final_values(n, k, chunk, deadline, checkpoints)
         i = int(np.argmax(finals))

@@ -141,6 +141,26 @@ def test_table_conflicting_cache_exit_2(tmp_path, capsys):
     assert err.startswith("consistency error:") and "(5,1)" in err
 
 
+def test_malformed_cache_lines_are_recomputed(tmp_path, capsys):
+    """A line that is not UTF-8 and records whose method names no solver are
+    skipped: table and conjecture exit 0 and solve those cells again."""
+    bad = (b'\xff\n'
+           b'{"n": 5, "k": 1, "alpha": 4, "method": null, "elapsed_ms": 0}\n'
+           b'{"n": 5, "k": 2, "alpha": 4, "method": 5, "elapsed_ms": 0}\n')
+    cache_path = tmp_path / "c.jsonl"
+    for command in ("table", "conjecture"):
+        plain = run(capsys, command, "--n-max", "6")
+        cache_path.write_bytes(bad)
+        code, out, err = run(capsys, command, "--n-max", "6", "--cache", str(cache_path))
+        assert (code, out) == plain[:2] and plain[0] == 0
+        if command == "table":  # conjecture leaves logging to the caller
+            assert err.count("skipping malformed cache line") == 3
+        cells = tables.cache_load(cache_path)
+        assert {cell: (c.alpha, c.method) for cell, c in cells.items()} == {
+            (5, 1): (4, "closed-form"), (5, 2): (4, "closed-form"),
+            (6, 1): (6, "closed-form"), (6, 2): (4, "closed-form")}, command
+
+
 def test_table_rejects_zero_jobs_exit_1(capsys):
     code, out, err = run(capsys, "table", "--n-max", "6", "--jobs", "0")
     assert code == 1 and out == "" and err.startswith("error:") and "jobs" in err

@@ -28,7 +28,7 @@ from petersen_alpha import (
     solver,
 )
 from petersen_alpha.solver import _bits, _clique_cover_bound, _delete, _dp_is_cheaper, _graph_to_masks, _reduce
-from petersen_alpha.windowdp import _BLOCK, _NEG, _dp_tables, _sweep, _transfer_block
+from petersen_alpha.windowdp import _BLOCK, _NEG, _dp_tables, _final_values, _sweep, _transfer_block
 
 
 def cycle(m: int) -> AdjacencyGraph:
@@ -354,6 +354,21 @@ def test_branch_reduce_matches_recursive_reference(g, data):
     assert (r.value, r.witness) == (size, tuple(sorted(chosen)))
 
 
+@given(st.integers(min_value=5, max_value=60).flatmap(
+    lambda n: st.tuples(st.just(n), st.integers(min_value=1, max_value=min(8, (n - 1) // 2)))))
+@settings(max_examples=60, deadline=None)
+def test_first_maximal_seed_has_u_out(cell):
+    """Over every spoke-consistent boundary state (all (u, w) but u = 1 with
+    w odd), some seed with u_{n-1} out reaches the maximum, and the first
+    maximal seed is one: so seeding only those keeps value and witness."""
+    n, k = cell
+    states = np.array([s for s in range(1 << (k + 1)) if not (s >> k and s & 1)])
+    finals = _final_values(n, k, states, None)
+    u_out = states >> k == 0
+    assert finals[u_out].max() == finals.max()
+    assert u_out[np.argmax(finals)]
+
+
 # k <= 5 goes through 64-column transfer blocks: n below one block, past one, past two
 @pytest.mark.parametrize("n,k", [(17, 6), (11, 4), (70, 3), (131, 5)])
 def test_dp_witness_valid_and_deterministic(n, k):
@@ -527,11 +542,22 @@ def test_bipartite_identity():
         assert alpha(n, k).value == n
 
 
-def test_isomorphic_pair_values_match():
-    """P(2k+1,k) has the same alpha as P(2k+1,2); both computed from scratch."""
-    for k in (3, 4, 5, 6, 7):
-        n = 2 * k + 1
-        assert alpha(n, k, "dp").value == alpha(n, 2, "dp").value
+def test_isomorphic_pair_values_match(reference_alpha):
+    """P(n,k) and P(n,m) are isomorphic when km = +-1 (mod n) (Steimle and
+    Staton), so they have one alpha: on every such pair of the reference
+    table, and computed from scratch by the DP for k, m <= 7 and n <= 30,
+    which includes P(2k+1,k) and P(2k+1,2)."""
+    def pairs(n, top):
+        return [(k, m) for k in range(1, top + 1) for m in range(1, top + 1)
+                if k != m and k * m % n in (1, n - 1)]
+
+    table = [(n, k, m) for n in range(5, 78) for k, m in pairs(n, (n - 1) // 2)]
+    assert len(table) == 774
+    assert all(reference_alpha[(n, k)] == reference_alpha[(n, m)] for n, k, m in table)
+    grid = [(n, k, m) for n in range(5, 31) for k, m in pairs(n, min(7, (n - 1) // 2)) if k < m]
+    assert {(2 * k + 1, 2, k) for k in range(3, 8)} <= set(grid)
+    for n, k, m in grid:
+        assert alpha(n, k, "dp").value == alpha(n, m, "dp").value, (n, k, m)
 
 
 def test_deadline_triggers():

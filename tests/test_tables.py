@@ -65,18 +65,24 @@ def test_cache_empty_and_missing(tmp_path):
 
 def test_cache_skips_malformed_lines(tmp_path, caplog):
     path = tmp_path / "cache.jsonl"
-    path.write_text(
-        'not json\n'
-        '{"n": 5, "k": 2, "alpha": 4, "method": "closed-form", "elapsed_ms": 0}\n'
-        '{"n": 6, "k": 1}\n'
-        '{"n": 5, "k": 1, "alpha": 4.7, "method": "closed-form", "elapsed_ms": 0}\n'
-        '{"n": 6, "k": 2, "alpha": true, "method": "closed-form", "elapsed_ms": 0}\n'
-        '{"n": 6.5, "k": 1, "alpha": 6, "method": "closed-form", "elapsed_ms": 0}\n'
+    path.write_bytes(
+        b'not json\n'
+        b'{"n": 5, "k": 2, "alpha": 4, "method": "closed-form", "elapsed_ms": 0}\n'
+        b'{"n": 6, "k": 1}\n'
+        b'{"n": 5, "k": 1, "alpha": 4.7, "method": "closed-form", "elapsed_ms": 0}\n'
+        b'{"n": 6, "k": 2, "alpha": true, "method": "closed-form", "elapsed_ms": 0}\n'
+        b'{"n": 6.5, "k": 1, "alpha": 6, "method": "closed-form", "elapsed_ms": 0}\n'
+        b'\xff\n'
+        b'{"n": 7, "k": 1, "alpha": 6, "method": "\xe9", "elapsed_ms": 0}\n'
+        b'{"n": 7, "k": 2, "alpha": 5, "method": null, "elapsed_ms": 0}\n'
+        b'{"n": 7, "k": 3, "alpha": 5, "method": 5, "elapsed_ms": 0}\n'
+        b'{"n": 8, "k": 1, "alpha": 8, "method": "guess", "elapsed_ms": 0}\n'
+        b'{"n": 8, "k": 2, "alpha": 6, "method": ["closed-form"], "elapsed_ms": 0}\n'
     )
     with caplog.at_level("WARNING"):
         loaded = cache_load(path)
     assert set(loaded) == {(5, 2)}
-    assert sum("malformed" in r.message for r in caplog.records) == 5
+    assert sum("malformed" in r.message for r in caplog.records) == 11
 
 
 def test_cache_skips_solved_record_without_alpha(tmp_path, caplog):
