@@ -10,7 +10,8 @@ since "auto" never solves them), then fits
 
 and records the grid, the constants and the machine in BENCH_dispatch.json,
 leaving its other sections as they are.  Copy the printed constants into
-solver.py (_DP_COST, _BR_COST, _BR_RATE, _FIT_N_MAX).
+solver.py (_DP_COST, _BR_COST, _BR_RATE); solver.alpha extrapolates the
+model past the grid's largest n.
 
     python3 scripts/fit_dispatch.py
 """
@@ -75,7 +76,6 @@ def main() -> int:
     print(f"_DP_COST = {constants['dp_cost']:.2g}")
     print(f"_BR_COST = {constants['br_cost']:.2g}")
     print(f"_BR_RATE = {constants['br_rate']:.3g}")
-    print(f"_FIT_N_MAX = {max(GRID_NS)}")
     record = json.loads(OUT.read_text()) if OUT.exists() else {}
     record.update({
         "what": "median seconds of the forced window DP and branch-reduce per grid cell, "

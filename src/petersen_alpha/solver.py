@@ -29,7 +29,8 @@ window DP seeds only the boundary states with u_{n-1} out.
 All engines return the same values.  The dispatcher answers from a closed
 form when one applies, and otherwise runs whichever of the DP and
 branch-reduce a cost model fitted from measured timings expects to finish
-first (the DP only for k <= K_DP_DEFAULT).
+first (the DP only for k <= K_DP_DEFAULT), and checks the value it gets
+against the bounds of `bounds.best_bounds`.
 """
 
 from __future__ import annotations
@@ -357,34 +358,26 @@ def maximum_independent_sets(g: AdjacencyGraph) -> list[frozenset[int]]:
 
 
 # Estimated seconds of each engine on P(n,k), fitted by
-# scripts/fit_dispatch.py from the timing grid recorded in BENCH_dispatch.json:
+# scripts/fit_dispatch.py from the timing grid in BENCH_dispatch.json:
 #     window DP       _DP_COST * 4**k * n
 #     branch-reduce   _BR_COST * exp(_BR_RATE * n)
-# The DP sweeps 2^k seeds over 2^(k+1) states per column.  Branch-reduce
-# finds no useful clique-cover bound on these cubic graphs (triangle-free
-# unless n = 3k), so its search tree grows about exponentially with the
-# vertex count; over the grid k moves its time far less than n does, and the
-# model leaves k out.  The grid ends at n = _FIT_N_MAX; past it the model is
-# not trusted and every k <= K_DP_DEFAULT stays on the DP.  Both costs were
-# fitted before the engines used the rotation fact of the module docstring:
-# _BR_COST and _BR_RATE before branch-reduce left out u_0, which takes about
-# 40% off its time, and _DP_COST before the DP seeded 2^k instead of
-# 3 * 2^(k-1) boundary states, so it overrates the DP by about 1.5x.  The
-# routes are kept as they are; a refit would move some cells near the
-# crossover.
+# The grid has n <= 121; past it the model is extrapolated, and the cells
+# where that sends k <= 12 to branch-reduce (122 <= n <= 166) were measured
+# ("extrapolated" in BENCH_dispatch.json, with the machine) and run faster
+# there.  Mis-routes are left for a refit: (151,11) goes to the DP (0.72 s)
+# although branch-reduce takes 0.19 s, as do the other k = 11 cells measured.
 _DP_COST = 2.9e-9
 _BR_COST = 1.7e-3
 _BR_RATE = 0.0508
-_FIT_N_MAX = 121
 
 
 def _dp_is_cheaper(n: int, k: int) -> bool:
-    """Whether "auto" should run the window DP rather than branch-reduce."""
+    """Whether "auto" should run the window DP rather than branch-reduce.
+    The estimates are compared in log space, since exp(_BR_RATE * n)
+    overflows a float from n = 13,972 on."""
     if k > K_DP_DEFAULT:
         return False
-    if n > _FIT_N_MAX:
-        return True
-    return _DP_COST * 4**k * n <= _BR_COST * math.exp(_BR_RATE * n)
+    return math.log(_DP_COST * 4**k * n / _BR_COST) <= _BR_RATE * n
 
 
 def alpha(
@@ -401,7 +394,9 @@ def alpha(
     requested, since closed forms carry none), else runs whichever of the
     window DP and branch-reduce the fitted cost model expects to be faster.
     "closed", "dp" and "bb" force one route and raise DomainError when its
-    precondition fails.
+    precondition fails.  The closed form, the branch-reduce lower hint and
+    the bounds that every engine value must lie within (else InternalError)
+    all come from one best_bounds report.
     """
     g = petersen_graph(n, k)
     start = time.perf_counter()
@@ -410,15 +405,18 @@ def alpha(
     if strategy == "closed" and want_witness:
         raise DomainError("closed forms carry no witness")
 
-    cf = _bounds.exact_closed_form(n, k)
-    if cf is not None and (strategy == "closed" or (strategy == "auto" and not want_witness)):
-        return ExactResult(cf.value, "closed-form", None, time.perf_counter() - start)
+    report = _bounds.best_bounds(n, k)
+    if report.exact is not None and (strategy == "closed" or (strategy == "auto" and not want_witness)):
+        return ExactResult(report.exact, "closed-form", None, time.perf_counter() - start)
     if strategy == "closed":
         raise DomainError(f"no closed form applies to (n={n}, k={k})")
 
+    lower, upper = report.lower.value, report.upper.value
     if strategy == "dp" or (strategy == "auto" and _dp_is_cheaper(n, k)):
-        return alpha_window_dp(n, k, want_witness=want_witness, deadline=deadline)
-
-    hint = max((b.value for b in _bounds.lower_bounds(n, k)), default=0)
-    hint = max(hint, cf.value if cf else 0)
-    return alpha_branch_reduce(g, lower_hint=hint, deadline=deadline)
+        result = alpha_window_dp(n, k, want_witness=want_witness, deadline=deadline)
+    else:
+        result = alpha_branch_reduce(g, lower_hint=lower, deadline=deadline)
+    if not lower <= result.value <= upper:
+        raise InternalError(f"{result.method} gave alpha(P({n},{k})) = {result.value}, "
+                            f"outside the bounds [{lower}, {upper}]")
+    return result

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from petersen_alpha import InternalError, cli, tables
+from petersen_alpha import InternalError, bounds, cli, solver, tables
 from petersen_alpha.cli import build_parser, main
 
 
@@ -66,6 +66,16 @@ def test_alpha_internal_error_exit_2(capsys, monkeypatch):
     code, out, err = run(capsys, "alpha", "--n", "13", "--k", "6")
     assert code == 2 and out == ""
     assert err == "internal error: witness size disagrees with the DP value\n"
+
+
+def test_alpha_engine_value_outside_bounds_exit_2(capsys, monkeypatch):
+    def too_big(n, k, **kwargs):
+        return solver.ExactResult(bounds.best_bounds(n, k).upper.value + 1, "window-dp", None, 0.0)
+
+    monkeypatch.setattr(solver, "alpha_window_dp", too_big)
+    code, out, err = run(capsys, "alpha", "--n", "13", "--k", "6")
+    assert code == 2 and out == ""
+    assert err.startswith("internal error: window-dp gave alpha(P(13,6)) = 12, outside the bounds")
 
 
 def test_bounds_json(capsys):

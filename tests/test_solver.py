@@ -22,6 +22,7 @@ from petersen_alpha import (
     alpha_branch_reduce,
     alpha_oracle,
     alpha_window_dp,
+    best_bounds,
     is_independent,
     maximum_independent_sets,
     petersen_graph,
@@ -497,10 +498,33 @@ def test_dispatch_routes(reference_alpha):
     assert r.method == "window-dp" and r.value == 190
     r = alpha(2000, 8, want_witness=True)
     assert r.method == "window-dp" and r.value == 1875
-    # past the fit grid (n > 121) k <= 12 stays on the DP, although the
-    # extrapolated model would send (151,12) to branch-reduce
-    assert not _dp_is_cheaper(121, 12) and _dp_is_cheaper(151, 12)
-    assert not _dp_is_cheaper(151, 13)
+    # past the fit grid (n > 121) the extrapolated model decides too
+    r = alpha(123, 11)
+    assert r.method == "branch-reduce" and r.value == alpha(123, 11, "dp").value
+    # the estimates are compared in log space, where exp(_BR_RATE * n) overflows
+    assert _dp_is_cheaper(10**6, 12) and not _dp_is_cheaper(10**6, 13)
+
+
+def test_dispatch_breakpoints():
+    """The largest k the DP gets rises by one at each breakpoint of n: the
+    ones up to n = 121 lie inside the fitted grid, the rest extrapolate."""
+    breaks = [(67, 8), (103, 9), (136, 10), (167, 11)]
+    for n in range(5, 20_001):
+        top = next((k for b, k in breaks if n < b), 12)
+        assert [k for k in range(1, 14) if _dp_is_cheaper(n, k)] == list(range(1, top + 1)), n
+
+
+def test_engine_value_outside_bounds_raises(monkeypatch):
+    """alpha() checks the engine's value against best_bounds; (13,6) has no
+    closed form, so the DP's value is checked against a sandwich."""
+    upper = best_bounds(13, 6).upper.value
+
+    def too_big(n, k, **kwargs):
+        return solver.ExactResult(upper + 1, "window-dp", None, 0.0)
+
+    monkeypatch.setattr(solver, "alpha_window_dp", too_big)
+    with pytest.raises(InternalError, match="outside the bounds"):
+        alpha(13, 6, "dp")
 
 
 def test_auto_matches_reference_for_k_9_to_12(reference_alpha):
