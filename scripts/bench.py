@@ -1,36 +1,43 @@
 #!/usr/bin/env python3
-"""Time single window-DP and branch-reduce cells, layer by layer.
+"""Time cells of petersen_alpha and record them in a BENCH_*.json.
 
-Every sample is one call in a fresh interpreter, after a warm-up call on a
-cell no sample uses, so no cache or memo carries over from an earlier
-sample.  For each window-DP cell it records the median over REPEATS
-interpreters of
+    python3 scripts/bench.py SUITE --label NAME [--src DIR]
 
-    value_s           alpha_window_dp(n, k)
-    with_witness_s    alpha_window_dp(n, k, want_witness=True)
-    witness_s         the part of with_witness_s spent in windowdp._dp_witness
-                      (the re-sweep, the backtrack and its checks)
+Every sample is one call in a fresh interpreter on the source tree DIR
+(default: this checkout's src), after a warm-up with the same call on a cell
+no sample uses (k = 3), so no cache or memo carries over between samples.  A
+sample can also time named functions inside the call; a row keeps medians
+over REPEATS samples.  Each suite writes its rows under NAME in the "runs" of
+its file, with the machine, and leaves every other key as it was:
 
-and writes them with the machine, Python and numpy versions under the given
-label in BENCH_witness.json.  For each branch-reduce cell, alpha(n, k) as the
-table asks it or alpha_branch_reduce on the adjacency of P(n, k) without a
-hint (an AdjacencyGraph, so searched whole, where P(n, k) itself is searched
-without u_0), it records the median seconds over REPEATS plain interpreters,
-and from REPEATS more, in which solver._reduce and solver._clique_cover_bound
-are wrapped in timers, the median share of the call spent in each (the
-wrapping slows the call, so its totals are not the ones recorded), in
-BENCH_branch.json.  Other labels in both files are left as they are.
---only witness or --only branch times and writes one of the two files, so
-that a before/after pair for one layer leaves the other file's pairs alone.
---src times another source tree, such as a checkout of the parent commit
-(the witness samples need one with the windowdp module):
+  witness   BENCH_witness.json.  alpha_window_dp(n, k) without (value_s) and
+            with a witness (with_witness_s), and the part of the latter spent
+            in windowdp._dp_witness (witness_s).
+  branch    BENCH_branch.json.  alpha(n, k) as the table asks it (call
+            "alpha") or alpha_branch_reduce on the adjacency of P(n, k)
+            without a hint (call "unhinted": an AdjacencyGraph, so searched
+            whole, where P(n, k) itself is searched without u_0), in seconds
+            (s); and the median share of the call spent in solver._reduce and
+            solver._clique_cover_bound, from REPEATS more samples that time
+            them (the timers slow the call, so their totals are not kept).
+  dispatch  BENCH_dispatch.json.  alpha(n, k, "dp") and alpha(n, k, "bb")
+            (dp_s, br_s) on the grid k = 6..12, n = 31..121 without the
+            cells that have a closed form, since "auto" never solves them.
+            It then prints the constants of solver.alpha's cost model fitted
+            to the rows (_DP_COST, _BR_COST, _BR_RATE):
+                window DP      _DP_COST * 4**k * n            geometric mean of t / (4**k * n)
+                branch-reduce  _BR_COST * exp(_BR_RATE * n)   least squares on log t
 
-    python3 scripts/bench.py --label after
-    python3 scripts/bench.py --label before --src ../parent/src --only branch
+A before/after pair times the parent commit with --src (the witness suite
+needs a tree with the windowdp module):
+
+    python3 scripts/bench.py branch --label after
+    python3 scripts/bench.py branch --label before --src ../parent/src
 """
 
 import argparse
 import json
+import math
 import os
 import platform
 import statistics
@@ -39,46 +46,31 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-OUT = ROOT / "BENCH_witness.json"
-BRANCH_OUT = ROOT / "BENCH_branch.json"
+sys.path.insert(0, str(ROOT / "src"))
+
+from petersen_alpha import exact_closed_form  # noqa: E402
+
 REPEATS = 5
 # the north star's single large cells (forced onto the DP) and the
 # witness-sweep workload's k = 4..8 at n = 2000
-CELLS = [(77, 12), (151, 11), (2000, 4), (2000, 5), (2000, 6), (2000, 7), (2000, 8)]
+WITNESS_CELLS = [(77, 12), (151, 11), (2000, 4), (2000, 5), (2000, 6), (2000, 7), (2000, 8)]
 # (call, n, k): alpha() on the table's slowest committed cell, on cells of
 # the beyond-table workload's rows (84,41 and 88,29 have even n and odd k,
 # so they are bipartite closed forms and time the dispatch alone; 85,41 and
 # 89,29 are their branch-reduce neighbours), and the unhinted search
 BRANCH_CELLS = [("alpha", 77, 37), ("alpha", 79, 37), ("alpha", 84, 41), ("alpha", 88, 29),
                 ("alpha", 85, 41), ("alpha", 89, 29), ("unhinted", 77, 37)]
+DISPATCH_CELLS = [(n, k) for n in (31, 45, 61, 77, 91, 105, 121) for k in range(6, 13)
+                  if exact_closed_form(n, k) is None]
 
+# argv: call n k [module.function ...]; prints the seconds of the call, then
+# of each named function inside it
 SAMPLE = """
-import sys, time
-from petersen_alpha import solver, windowdp
-n, k, witness = int(sys.argv[1]), int(sys.argv[2]), sys.argv[3] == "1"
-inner = [0.0]
-dp_witness = windowdp._dp_witness
-def timed(*args):
-    t0 = time.perf_counter()
-    try:
-        return dp_witness(*args)
-    finally:
-        inner[0] += time.perf_counter() - t0
-windowdp._dp_witness = timed
-solver.alpha_window_dp(11, 3, want_witness=witness)  # warm-up; no cell has k = 3
-inner[0] = 0.0
-t0 = time.perf_counter()
-solver.alpha_window_dp(n, k, want_witness=witness)
-print(time.perf_counter() - t0, inner[0])
-"""
-
-BRANCH_SAMPLE = """
-import sys, time
+import importlib, sys, time
 from petersen_alpha import adjacency, petersen_graph, solver
-call, n, k, wrap = sys.argv[1], int(sys.argv[2]), int(sys.argv[3]), sys.argv[4] == "1"
-spent = {"_reduce": 0.0, "_clique_cover_bound": 0.0}
-def timer(name):
-    f = getattr(solver, name)
+call, n, k, names = sys.argv[1], int(sys.argv[2]), int(sys.argv[3]), sys.argv[4:]
+spent = dict.fromkeys(names, 0.0)
+def timer(name, f):
     def timed(*args):
         t0 = time.perf_counter()
         try:
@@ -86,112 +78,122 @@ def timer(name):
         finally:
             spent[name] += time.perf_counter() - t0
     return timed
-if wrap:
-    for name in spent:
-        setattr(solver, name, timer(name))
-solver.alpha(13, 4, "bb")  # warm-up on a cell no sample uses
-spent = dict.fromkeys(spent, 0.0)
-g = adjacency(petersen_graph(n, k))
+for name in names:
+    module, function = name.split(".")
+    module = importlib.import_module("petersen_alpha." + module)
+    setattr(module, function, timer(name, getattr(module, function)))
+def prepared(n, k):
+    if call == "unhinted":
+        g = adjacency(petersen_graph(n, k))
+        return lambda: solver.alpha_branch_reduce(g)
+    if call in ("alpha", "dp", "bb"):
+        return lambda: solver.alpha(n, k, "auto" if call == "alpha" else call)
+    return lambda: solver.alpha_window_dp(n, k, want_witness=call == "witness")
+prepared(11, 3)()  # warm-up on a cell no sample uses
+spent = dict.fromkeys(names, 0.0)
+run = prepared(n, k)
 t0 = time.perf_counter()
-if call == "alpha":
-    solver.alpha(n, k)
-else:
-    solver.alpha_branch_reduce(g)
+run()
 print(time.perf_counter() - t0, *spent.values())
 """
 
 
-def run(src: Path, code: str, *args) -> list[float]:
-    """The numbers `code` prints, run with `args` in a fresh interpreter on `src`."""
+def samples(src: Path, call: str, n: int, k: int, *names: str) -> list[list[float]]:
+    """REPEATS runs of SAMPLE on `src`, each in a fresh interpreter."""
     env = dict(os.environ, PYTHONPATH=str(src))
-    out = subprocess.run([sys.executable, "-c", code, *map(str, args)],
-                         env=env, check=True, capture_output=True, text=True).stdout
-    return [float(x) for x in out.split()]
+    return [[float(x) for x in subprocess.run(
+                [sys.executable, "-c", SAMPLE, call, str(n), str(k), *names],
+                env=env, check=True, capture_output=True, text=True).stdout.split()]
+            for _ in range(REPEATS)]
 
 
-def cpu_model() -> str:
-    try:
-        with open("/proc/cpuinfo") as f:
-            for line in f:
-                if line.startswith("model name"):
-                    return line.split(":", 1)[1].strip()
-    except OSError:
-        pass
-    return platform.processor() or "unknown"
+def median(values, digits: int = 5) -> float:
+    return round(statistics.median(values), digits)
+
+
+def witness_row(src: Path, n: int, k: int) -> dict:
+    both = samples(src, "witness", n, k, "windowdp._dp_witness")
+    return {"n": n, "k": k, "value_s": median(t for t, in samples(src, "value", n, k)),
+            "with_witness_s": median(t for t, _ in both), "witness_s": median(w for _, w in both)}
+
+
+def branch_row(src: Path, call: str, n: int, k: int) -> dict:
+    seconds = median(t for t, in samples(src, call, n, k))
+    wrapped = samples(src, call, n, k, "solver._reduce", "solver._clique_cover_bound")
+    return {"call": call, "n": n, "k": k, "s": seconds,
+            "reduce_share": median((r / t for t, r, _ in wrapped), 3),
+            "clique_cover_share": median((c / t for t, _, c in wrapped), 3)}
+
+
+def dispatch_row(src: Path, n: int, k: int) -> dict:
+    return {"n": n, "k": k, "dp_s": median((t for t, in samples(src, "dp", n, k)), 6),
+            "br_s": median((t for t, in samples(src, "bb", n, k)), 6)}
+
+
+SUITES = {  # suite: (file, cells, row of one cell, what the rows hold)
+    "witness": ("BENCH_witness.json", WITNESS_CELLS, witness_row,
+                "median seconds over fresh interpreters of alpha_window_dp without and "
+                "with a witness, and of the witness phase (_dp_witness) inside the latter"),
+    "branch": ("BENCH_branch.json", BRANCH_CELLS, branch_row,
+               "median seconds over fresh interpreters of alpha(n, k) (call 'alpha') or of "
+               "alpha_branch_reduce on P(n, k) without a hint (call 'unhinted'), and the "
+               "median shares of the call spent in solver._reduce and "
+               "solver._clique_cover_bound, timed in separate wrapped interpreters"),
+    "dispatch": ("BENCH_dispatch.json", DISPATCH_CELLS, dispatch_row,
+                 "runs: median seconds over fresh interpreters of the forced window DP and "
+                 "branch-reduce per grid cell.  grid: the same, as medians of 3 timings in "
+                 "one warm interpreter, and fit: the dispatch constants solver.py uses, "
+                 "fitted from that grid"),
+}
+
+
+def fit(rows: list[dict]) -> dict:
+    """The cost model's constants fitted to dispatch rows (module docstring)."""
+    dp_logs = [math.log(r["dp_s"] / (4 ** r["k"] * r["n"])) for r in rows]
+    ns = [r["n"] for r in rows]
+    br_logs = [math.log(r["br_s"]) for r in rows]
+    n_mean, log_mean = statistics.fmean(ns), statistics.fmean(br_logs)
+    rate = (sum((n - n_mean) * (y - log_mean) for n, y in zip(ns, br_logs))
+            / sum((n - n_mean) ** 2 for n in ns))
+    return {"dp_cost": math.exp(statistics.fmean(dp_logs)),
+            "br_cost": math.exp(log_mean - rate * n_mean), "br_rate": rate}
 
 
 def machine() -> dict:
-    """The machine record of a BENCH_*.json: CPU, core count, Python, numpy
-    and platform of this interpreter."""
+    """CPU, core count, Python, numpy and platform of this interpreter."""
     import numpy
 
-    return {
-        "cpu": cpu_model(),
-        "nproc": os.cpu_count(),
-        "python": platform.python_version(),
-        "numpy": numpy.__version__,
-        "platform": platform.platform(),
-    }
+    cpu = platform.processor() or "unknown"
+    try:
+        with open("/proc/cpuinfo") as f:
+            cpu = next(line.split(":", 1)[1].strip() for line in f if line.startswith("model name"))
+    except (OSError, StopIteration):
+        pass
+    return {"cpu": cpu, "nproc": os.cpu_count(), "python": platform.python_version(),
+            "numpy": numpy.__version__, "platform": platform.platform()}
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--label", required=True, help="key of this run in the files it writes")
+    parser.add_argument("suite", choices=SUITES, help="what to time, and the file it writes")
+    parser.add_argument("--label", required=True, help="key of this run in the file's runs")
     parser.add_argument("--src", type=Path, default=ROOT / "src", help="source tree to time")
-    parser.add_argument("--only", choices=["witness", "branch"], default=None,
-                        help="time and write only BENCH_witness.json or only BENCH_branch.json")
     args = parser.parse_args()
 
-    if args.only != "branch":
-        bench_witness(args.src, args.label)
-    if args.only != "witness":
-        bench_branch(args.src, args.label)
-    return 0
-
-
-def bench_witness(src: Path, label: str) -> None:
-    """Time the window-DP CELLS and record them under `label` in BENCH_witness.json."""
+    name, cells, row, what = SUITES[args.suite]
     rows = []
-    for n, k in CELLS:
-        value = statistics.median(run(src, SAMPLE, n, k, 0)[0] for _ in range(REPEATS))
-        both = [run(src, SAMPLE, n, k, 1) for _ in range(REPEATS)]
-        total = statistics.median(t for t, _ in both)
-        witness = statistics.median(w for _, w in both)
-        rows.append({"n": n, "k": k, "value_s": round(value, 5),
-                     "with_witness_s": round(total, 5), "witness_s": round(witness, 5)})
-        print(f"({n},{k}) value {value * 1000:.1f} ms  with witness {total * 1000:.1f} ms"
-              f"  of which witness {witness * 1000:.1f} ms", flush=True)
-    record(OUT, label, rows, machine(),
-           "median seconds over fresh interpreters of alpha_window_dp without and "
-           "with a witness, and of the witness phase (_dp_witness) inside the latter")
-
-
-def bench_branch(src: Path, label: str) -> None:
-    """Time the BRANCH_CELLS and record them under `label` in BENCH_branch.json."""
-    branch_rows = []
-    for call, n, k in BRANCH_CELLS:
-        seconds = statistics.median(run(src, BRANCH_SAMPLE, call, n, k, 0)[0] for _ in range(REPEATS))
-        wrapped = [run(src, BRANCH_SAMPLE, call, n, k, 1) for _ in range(REPEATS)]
-        reduce_share = statistics.median(r / t for t, r, _ in wrapped)
-        bound_share = statistics.median(c / t for t, _, c in wrapped)
-        branch_rows.append({"call": call, "n": n, "k": k, "s": round(seconds, 5),
-                            "reduce_share": round(reduce_share, 3),
-                            "clique_cover_share": round(bound_share, 3)})
-        print(f"{call}({n},{k}) {seconds * 1000:.1f} ms  _reduce {reduce_share:.0%}"
-              f"  _clique_cover_bound {bound_share:.0%}", flush=True)
-    record(BRANCH_OUT, label, branch_rows, machine(),
-           "median seconds over fresh interpreters of alpha(n, k) (call 'alpha') or of "
-           "alpha_branch_reduce on P(n, k) without a hint (call 'unhinted'), and the "
-           "median shares of the call spent in solver._reduce and "
-           "solver._clique_cover_bound, timed in separate wrapped interpreters")
-
-
-def record(path: Path, label: str, rows: list[dict], machine: dict, what: str) -> None:
-    """Put `rows` under `label` in the JSON file at `path`, keeping its other labels."""
+    for cell in cells:
+        rows.append(row(args.src, *cell))
+        print(rows[-1], flush=True)
+    path = ROOT / name
     data = json.loads(path.read_text()) if path.exists() else {}
-    data.update({"what": what, "machine": machine, "repeats": REPEATS})
-    data.setdefault("runs", {})[label] = rows
+    data.update({"what": what, "machine": machine(), "repeats": REPEATS})
+    data.setdefault("runs", {})[args.label] = rows
     path.write_text(json.dumps(data, indent=1) + "\n")
+    if args.suite == "dispatch":
+        c = fit(rows)
+        print(f"_DP_COST = {c['dp_cost']:.2g}\n_BR_COST = {c['br_cost']:.2g}\n_BR_RATE = {c['br_rate']:.3g}")
+    return 0
 
 
 if __name__ == "__main__":

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the deadline check."""
+
+import time
 
 
 class DomainError(ValueError):
@@ -15,3 +17,9 @@ class ConsistencyError(RuntimeError):
 
 class BudgetExceededError(RuntimeError):
     """Raised by solvers when a computation exceeds its time budget."""
+
+
+def check_deadline(deadline: float | None) -> None:
+    """Raise BudgetExceededError once time.monotonic() passes `deadline`."""
+    if deadline is not None and time.monotonic() > deadline:
+        raise BudgetExceededError("time budget exceeded")

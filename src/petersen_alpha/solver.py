@@ -41,7 +41,7 @@ import time
 from dataclasses import dataclass
 
 from . import bounds as _bounds
-from .errors import BudgetExceededError, DomainError, InternalError
+from .errors import DomainError, InternalError, check_deadline
 from .graph import AdjacencyGraph, GeneralizedPetersen, adjacency, is_independent, petersen_graph
 
 K_DP_DEFAULT = 12
@@ -62,11 +62,6 @@ class ExactResult:
         return int(self.elapsed * 1000)
 
 
-def _check_deadline(deadline: float | None) -> None:
-    if deadline is not None and time.monotonic() > deadline:
-        raise BudgetExceededError("time budget exceeded")
-
-
 def alpha_window_dp(
     n: int,
     k: int,
@@ -79,7 +74,9 @@ def alpha_window_dp(
     if k > K_DP_DEFAULT:
         raise DomainError(f"window DP capped at k <= {K_DP_DEFAULT}, got k={k}")
     from . import windowdp  # the one numpy import: it loads with the first DP run
-    return windowdp.solve(n, k, want_witness, deadline)
+    start = time.perf_counter()
+    value, witness = windowdp.solve(n, k, want_witness, deadline)
+    return ExactResult(value, "window-dp", witness, time.perf_counter() - start)
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +233,7 @@ def _best_set(adj: dict[int, int], next_id: int, best: int,
     leaf = None
     while stack:
         adj, next_id, dirty, size, trail = stack.pop()
-        _check_deadline(deadline)
+        check_deadline(deadline)
         picks: list[int] = []
         folds: list[tuple[int, int, int, int]] = []
         next_id = _reduce(adj, picks, folds, next_id, dirty)
@@ -289,7 +286,7 @@ def alpha_branch_reduce(
     several copies of a hard graph costs far more than the copies apart.
     """
     start = time.perf_counter()
-    _check_deadline(deadline)
+    check_deadline(deadline)
     petersen = isinstance(g, GeneralizedPetersen)
     g = adjacency(g) if petersen else g
     adj = _graph_to_masks(g)
@@ -357,8 +354,8 @@ def maximum_independent_sets(g: AdjacencyGraph) -> list[frozenset[int]]:
 # ---------------------------------------------------------------------------
 
 
-# Estimated seconds of each engine on P(n,k), fitted by
-# scripts/fit_dispatch.py from the timing grid in BENCH_dispatch.json:
+# Estimated seconds of each engine on P(n,k): the `fit` of the top-level
+# `grid` in BENCH_dispatch.json, which `scripts/bench.py dispatch` re-times:
 #     window DP       _DP_COST * 4**k * n
 #     branch-reduce   _BR_COST * exp(_BR_RATE * n)
 # The grid has n <= 121; past it the model is extrapolated, and the cells

@@ -21,7 +21,6 @@ import json
 import logging
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, Iterable, Mapping
@@ -162,6 +161,8 @@ def generate_table(
         if cache_path is not None:
             _drop_cut_last_line(cache_path)
         workers = min(jobs, len(work))
+        if workers > 1:  # multiprocessing loads only when a pool runs
+            from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) if workers > 1 else contextlib.nullcontext() as pool:
             fresh = pool.map(_compute_cell, work) if pool else map(_compute_cell, work)
             for i, cell in enumerate(fresh, start=1):

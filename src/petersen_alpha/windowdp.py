@@ -14,13 +14,11 @@ once, one short segment each, and backtracked.
 from __future__ import annotations
 
 import functools
-import time
 
 import numpy as np
 
-from .errors import InternalError
+from .errors import InternalError, check_deadline
 from .graph import petersen_violations
-from .solver import ExactResult, _check_deadline
 
 # State before column i: (u_bit, w) where u_bit is the membership of u_{i-1}
 # and bit j of w is the membership of v_{i-1-j} (bit 0 newest, bit k-1 the
@@ -87,7 +85,7 @@ def _sweep(T: np.ndarray, tmp: tuple[np.ndarray, ...], columns: int,
     half = T.shape[-1] // 2
     depth = len(T)
     for i in range(at, at + columns):
-        _check_deadline(deadline)
+        check_deadline(deadline)
         _dp_column_step(T[i % depth], T[(i + 1) % depth], tmp, half)
     return (at + columns) % depth
 
@@ -128,7 +126,7 @@ def _final_values(n: int, k: int, seeds: np.ndarray, deadline: float | None,
     if k <= _SMALL_K:
         M = _transfer_block(k)
         while done + _BLOCK <= n:
-            _check_deadline(deadline)
+            check_deadline(deadline)
             if checkpoints is not None:
                 checkpoints.append((done, T[cur].copy()))
             W = T[1 - cur].reshape(rows, -1)
@@ -144,9 +142,10 @@ def _final_values(n: int, k: int, seeds: np.ndarray, deadline: float | None,
     return T[cur][idx]
 
 
-def solve(n: int, k: int, want_witness: bool, deadline: float | None) -> ExactResult:
-    """alpha_window_dp on arguments it has checked."""
-    start = time.perf_counter()
+def solve(n: int, k: int, want_witness: bool,
+          deadline: float | None) -> tuple[int, tuple[int, ...] | None]:
+    """alpha_window_dp's (value, witness) on arguments it has checked; the
+    witness is None unless `want_witness`."""
     seeds = np.arange(1 << k)
     # 2^18 states per chunk: each value table is 0.5 MB of int16 and stays
     # in cache across the n columns; every k <= 8 is still a single chunk
@@ -166,7 +165,7 @@ def solve(n: int, k: int, want_witness: bool, deadline: float | None) -> ExactRe
     witness = None
     if want_witness:
         witness = _dp_witness(n, k, seed, best, marks, deadline)
-    return ExactResult(best, "window-dp", witness, time.perf_counter() - start)
+    return best, witness
 
 
 def _dp_witness(n: int, k: int, seed: int, value: int, marks: list[tuple[int, np.ndarray]],

@@ -1,6 +1,11 @@
+import concurrent.futures
 import io
 import json
 import logging
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -192,7 +197,7 @@ class _RecordingPool:
 
 def test_pool_never_larger_than_the_work(tmp_path, monkeypatch):
     sizes = []
-    monkeypatch.setattr(tables, "ProcessPoolExecutor",
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                         lambda max_workers: _RecordingPool(sizes, max_workers))
     serial = generate_table(6, budget_secs=None)
     assert sizes == []
@@ -207,10 +212,27 @@ def test_pool_never_larger_than_the_work(tmp_path, monkeypatch):
     assert sizes == [4, 2]
 
 
+POOL_ON_DEMAND = """
+import sys
+from petersen_alpha.tables import generate_table
+assert len(generate_table(8)) == 10
+assert "multiprocessing" not in sys.modules
+assert "concurrent.futures.process" not in sys.modules
+"""
+
+
+def test_process_pool_loads_only_when_a_pool_runs():
+    """A fresh interpreter builds a one-process table without loading
+    multiprocessing or the process pool."""
+    env = dict(os.environ, PYTHONPATH=str(Path(tables.__file__).parent.parent))
+    proc = subprocess.run([sys.executable, "-c", POOL_ON_DEMAND], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
 @pytest.mark.parametrize("jobs,budget_secs", [(0, None), (-3, None), (1, float("nan")),
                                               (1, -1.0), (1, 0.0), (2, float("-inf"))])
 def test_generate_table_rejects_bad_jobs_and_budget(monkeypatch, jobs, budget_secs):
-    monkeypatch.setattr(tables, "ProcessPoolExecutor", None)  # a pool must not even be tried
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", None)  # a pool must not even be tried
     with pytest.raises(DomainError):
         generate_table(6, jobs=jobs, budget_secs=budget_secs)
 
