@@ -1,14 +1,18 @@
 #!/usr/bin/env python3
 """Time cells of petersen_alpha and record them in a BENCH_*.json.
 
-    python3 scripts/bench.py SUITE --label NAME [--src DIR]
+    python3 scripts/bench.py SUITE --label NAME [--src DIR] [--label NAME --src DIR ...]
 
-Every sample is one call in a fresh interpreter on the source tree DIR
-(default: this checkout's src), after a warm-up with the same call on a cell
+Each --label names the source tree of the --src in the same place (one
+--label alone defaults to this checkout's src).  Every sample is one call in
+a fresh interpreter on one tree, after a warm-up with the same call on a cell
 no sample uses (k = 3), so no cache or memo carries over between samples.  A
 sample can also time named functions inside the call; a row keeps medians
-over REPEATS samples.  Each suite writes its rows under NAME in the "runs" of
-its file, with the machine, and leaves every other key as it was:
+over REPEATS samples.  The trees take turns sample by sample, in the order
+given on even repeats and reversed on odd ones, so a slow phase of the
+machine falls on all of them alike.  Each suite writes each tree's rows under
+its NAME in the "runs" of its file, with the machine, and leaves every other
+key as it was:
 
   witness   BENCH_witness.json.  alpha_window_dp(n, k) without (value_s) and
             with a witness (with_witness_s), and the part of the latter spent
@@ -16,7 +20,8 @@ its file, with the machine, and leaves every other key as it was:
   branch    BENCH_branch.json.  alpha(n, k) as the table asks it (call
             "alpha") or alpha_branch_reduce on the adjacency of P(n, k)
             without a hint (call "unhinted": an AdjacencyGraph, so searched
-            whole, where P(n, k) itself is searched without u_0), in seconds
+            whole, where alpha() searches P(n, k) without u_0 and, off the
+            bipartite cells, without v_0 too), in seconds
             (s); and the median share of the call spent in solver._reduce and
             solver._clique_cover_bound, from REPEATS more samples that time
             them (the timers slow the call, so their totals are not kept).
@@ -28,11 +33,10 @@ its file, with the machine, and leaves every other key as it was:
                 window DP      _DP_COST * 4**k * n            geometric mean of t / (4**k * n)
                 branch-reduce  _BR_COST * exp(_BR_RATE * n)   least squares on log t
 
-A before/after pair times the parent commit with --src (the witness suite
-needs a tree with the windowdp module):
+A before/after pair times the parent commit and this checkout in one
+invocation (the witness suite needs trees with the windowdp module):
 
-    python3 scripts/bench.py branch --label after
-    python3 scripts/bench.py branch --label before --src ../parent/src
+    python3 scripts/bench.py branch --label before --src ../parent/src --label after --src src
 """
 
 import argparse
@@ -98,48 +102,58 @@ print(time.perf_counter() - t0, *spent.values())
 """
 
 
-def samples(src: Path, call: str, n: int, k: int, *names: str) -> list[list[float]]:
-    """REPEATS runs of SAMPLE on `src`, each in a fresh interpreter."""
-    env = dict(os.environ, PYTHONPATH=str(src))
-    return [[float(x) for x in subprocess.run(
+def samples(srcs: list[Path], call: str, n: int, k: int, *names: str) -> list[list[list[float]]]:
+    """REPEATS runs of SAMPLE on each tree of `srcs`, each in a fresh
+    interpreter, the trees taking turns (module docstring); per tree, its
+    runs."""
+    out = [[] for _ in srcs]
+    for repeat in range(REPEATS):
+        turns = range(len(srcs)) if repeat % 2 == 0 else range(len(srcs) - 1, -1, -1)
+        for i in turns:
+            out[i].append([float(x) for x in subprocess.run(
                 [sys.executable, "-c", SAMPLE, call, str(n), str(k), *names],
-                env=env, check=True, capture_output=True, text=True).stdout.split()]
-            for _ in range(REPEATS)]
+                env=dict(os.environ, PYTHONPATH=str(srcs[i])),
+                check=True, capture_output=True, text=True).stdout.split()])
+    return out
 
 
 def median(values, digits: int = 5) -> float:
     return round(statistics.median(values), digits)
 
 
-def witness_row(src: Path, n: int, k: int) -> dict:
-    both = samples(src, "witness", n, k, "windowdp._dp_witness")
-    return {"n": n, "k": k, "value_s": median(t for t, in samples(src, "value", n, k)),
-            "with_witness_s": median(t for t, _ in both), "witness_s": median(w for _, w in both)}
+def witness_rows(srcs: list[Path], n: int, k: int) -> list[dict]:
+    values = samples(srcs, "value", n, k)
+    withs = samples(srcs, "witness", n, k, "windowdp._dp_witness")
+    return [{"n": n, "k": k, "value_s": median(t for t, in value),
+             "with_witness_s": median(t for t, _ in both), "witness_s": median(w for _, w in both)}
+            for value, both in zip(values, withs)]
 
 
-def branch_row(src: Path, call: str, n: int, k: int) -> dict:
-    seconds = median(t for t, in samples(src, call, n, k))
-    wrapped = samples(src, call, n, k, "solver._reduce", "solver._clique_cover_bound")
-    return {"call": call, "n": n, "k": k, "s": seconds,
-            "reduce_share": median((r / t for t, r, _ in wrapped), 3),
-            "clique_cover_share": median((c / t for t, _, c in wrapped), 3)}
+def branch_rows(srcs: list[Path], call: str, n: int, k: int) -> list[dict]:
+    plains = samples(srcs, call, n, k)
+    wrappeds = samples(srcs, call, n, k, "solver._reduce", "solver._clique_cover_bound")
+    return [{"call": call, "n": n, "k": k, "s": median(t for t, in plain),
+             "reduce_share": median((r / t for t, r, _ in wrapped), 3),
+             "clique_cover_share": median((c / t for t, _, c in wrapped), 3)}
+            for plain, wrapped in zip(plains, wrappeds)]
 
 
-def dispatch_row(src: Path, n: int, k: int) -> dict:
-    return {"n": n, "k": k, "dp_s": median((t for t, in samples(src, "dp", n, k)), 6),
-            "br_s": median((t for t, in samples(src, "bb", n, k)), 6)}
+def dispatch_rows(srcs: list[Path], n: int, k: int) -> list[dict]:
+    dps, bbs = samples(srcs, "dp", n, k), samples(srcs, "bb", n, k)
+    return [{"n": n, "k": k, "dp_s": median((t for t, in dp), 6), "br_s": median((t for t, in bb), 6)}
+            for dp, bb in zip(dps, bbs)]
 
 
-SUITES = {  # suite: (file, cells, row of one cell, what the rows hold)
-    "witness": ("BENCH_witness.json", WITNESS_CELLS, witness_row,
+SUITES = {  # suite: (file, cells, each tree's row of one cell, what the rows hold)
+    "witness": ("BENCH_witness.json", WITNESS_CELLS, witness_rows,
                 "median seconds over fresh interpreters of alpha_window_dp without and "
                 "with a witness, and of the witness phase (_dp_witness) inside the latter"),
-    "branch": ("BENCH_branch.json", BRANCH_CELLS, branch_row,
+    "branch": ("BENCH_branch.json", BRANCH_CELLS, branch_rows,
                "median seconds over fresh interpreters of alpha(n, k) (call 'alpha') or of "
                "alpha_branch_reduce on P(n, k) without a hint (call 'unhinted'), and the "
                "median shares of the call spent in solver._reduce and "
                "solver._clique_cover_bound, timed in separate wrapped interpreters"),
-    "dispatch": ("BENCH_dispatch.json", DISPATCH_CELLS, dispatch_row,
+    "dispatch": ("BENCH_dispatch.json", DISPATCH_CELLS, dispatch_rows,
                  "runs: median seconds over fresh interpreters of the forced window DP and "
                  "branch-reduce per grid cell.  grid: the same, as medians of 3 timings in "
                  "one warm interpreter, and fit: the dispatch constants solver.py uses, "
@@ -173,26 +187,40 @@ def machine() -> dict:
             "numpy": numpy.__version__, "platform": platform.platform()}
 
 
-def main() -> int:
+def parse(argv: list[str] | None = None) -> tuple[str, list[tuple[str, Path]]]:
+    """The suite and its (label, source tree) pairs, in the order given."""
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("suite", choices=SUITES, help="what to time, and the file it writes")
-    parser.add_argument("--label", required=True, help="key of this run in the file's runs")
-    parser.add_argument("--src", type=Path, default=ROOT / "src", help="source tree to time")
-    args = parser.parse_args()
+    parser.add_argument("--label", action="append", required=True,
+                        help="key of a tree's run in the file's runs (repeatable)")
+    parser.add_argument("--src", action="append", type=Path,
+                        help="source tree to time, one per --label (default: this checkout's src)")
+    args = parser.parse_args(argv)
+    srcs = args.src or [ROOT / "src"]
+    if len(srcs) != len(args.label):
+        parser.error(f"{len(args.label)} --label but {len(srcs)} --src; give one --src per --label")
+    if len(set(args.label)) != len(args.label):
+        parser.error("each --label must differ from the others")
+    return args.suite, list(zip(args.label, srcs))
 
-    name, cells, row, what = SUITES[args.suite]
-    rows = []
+
+def main() -> int:
+    suite, pairs = parse()
+    name, cells, rows_of, what = SUITES[suite]
+    runs = {label: [] for label, _ in pairs}
     for cell in cells:
-        rows.append(row(args.src, *cell))
-        print(rows[-1], flush=True)
+        for (label, _), row in zip(pairs, rows_of([src for _, src in pairs], *cell)):
+            runs[label].append(row)
+            print(label, row, flush=True)
     path = ROOT / name
     data = json.loads(path.read_text()) if path.exists() else {}
     data.update({"what": what, "machine": machine(), "repeats": REPEATS})
-    data.setdefault("runs", {})[args.label] = rows
+    data.setdefault("runs", {}).update(runs)
     path.write_text(json.dumps(data, indent=1) + "\n")
-    if args.suite == "dispatch":
-        c = fit(rows)
-        print(f"_DP_COST = {c['dp_cost']:.2g}\n_BR_COST = {c['br_cost']:.2g}\n_BR_RATE = {c['br_rate']:.3g}")
+    if suite == "dispatch":
+        for label, rows in runs.items():
+            c = fit(rows)
+            print(f"{label}:\n_DP_COST = {c['dp_cost']:.2g}\n_BR_COST = {c['br_cost']:.2g}\n_BR_RATE = {c['br_rate']:.3g}")
     return 0
 
 

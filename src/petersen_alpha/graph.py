@@ -116,6 +116,13 @@ def petersen_graph(n: int, k: int) -> GeneralizedPetersen:
     return GeneralizedPetersen(n, k)
 
 
+def is_bipartite(n: int, k: int) -> bool:
+    """Whether P(n,k) is bipartite: n even and k odd.  These are exactly the
+    cells with alpha = n, since the n spokes split the vertices into pairs
+    and a cubic graph with an independent half of its vertices is bipartite."""
+    return n % 2 == 0 and k % 2 == 1
+
+
 def adjacency(g: GeneralizedPetersen) -> AdjacencyGraph:
     """Adjacency lists of P(n,k) under the canonical encoding (deterministic)."""
     n, k = g.n, g.k

@@ -21,10 +21,23 @@ Three independent routes compute alpha(P(n,k)):
 * a tiny exhaustive oracle (one memoized subset recursion, at most 32
   vertices) that the test suite uses as ground truth.
 
-Both exact engines on P(n,k) use one fact.  The rotation i -> i+1 is an
-automorphism and the outer cycle is not independent, so for any outer vertex
-some maximum set misses it.  Branch-reduce searches P(n,k) - u_0, and the
-window DP seeds only the boundary states with u_{n-1} out.
+Both exact engines on P(n,k) cut their work by rotation facts; the rotation
+i -> i+1 is an automorphism, so a vertex some maximum set misses can be moved
+to any index.
+
+* The outer cycle is not independent, so every maximum set misses some outer
+  vertex.
+* Two families of n vertex pairs each split the 2n vertices: the spokes
+  (u_i, v_i), and the pairs (u_i, v_{i+1-k}).  A set that meets every pair of
+  a family has at least n members, and alpha = n exactly when P(n,k) is
+  bipartite (n even, k odd; `graph.is_bipartite`).  So on every other cell
+  each maximum set misses a whole pair of each family.
+
+Branch-reduce searches P(n,k) - u_0 for a witness, and for the value alone
+P(n,k) - u_0 - v_0 off the bipartite cells.  The window DP seeds the boundary
+states with u_{n-1} out on bipartite cells, and elsewhere only those with the
+pair u_{n-1}, v_{n-k} out; both sets come first in its state order, so its
+witnesses are those of a sweep from every state.
 
 All engines return the same values.  The dispatcher answers from a closed
 form when one applies, and otherwise runs whichever of the DP and
@@ -42,7 +55,7 @@ from dataclasses import dataclass
 
 from . import bounds as _bounds
 from .errors import DomainError, InternalError, check_deadline
-from .graph import AdjacencyGraph, GeneralizedPetersen, adjacency, is_independent, petersen_graph
+from .graph import AdjacencyGraph, GeneralizedPetersen, adjacency, is_bipartite, is_independent, petersen_graph
 
 K_DP_DEFAULT = 12
 _ORACLE_CAP = 32
@@ -50,7 +63,9 @@ _ORACLE_CAP = 32
 
 @dataclass(frozen=True)
 class ExactResult:
-    """An exact alpha value, how it was obtained, and an optional witness set."""
+    """An exact alpha value, how it was obtained, and a witness set: a
+    maximum independent set exactly when one was requested and the route
+    can give one (closed forms carry none), else None."""
 
     value: int
     method: str  # "closed-form" | "window-dp" | "branch-reduce"
@@ -269,6 +284,7 @@ def _best_set(adj: dict[int, int], next_id: int, best: int,
 def alpha_branch_reduce(
     g: AdjacencyGraph | GeneralizedPetersen,
     *,
+    want_witness: bool = True,
     lower_hint: int = 0,
     deadline: float | None = None,
 ) -> ExactResult:
@@ -276,7 +292,9 @@ def alpha_branch_reduce(
 
     g is an AdjacencyGraph, always searched whole, or P(n,k) as
     `petersen_graph(n, k)` returns it, searched without u_0 (vertex 0) by
-    the rotation fact of the module docstring.
+    the rotation facts of the module docstring; without `want_witness`,
+    unless P(n,k) is bipartite, v_0 (vertex n) goes too.  The witness is the
+    searched maximum set, or None without `want_witness`.
 
     `lower_hint` must be a valid lower bound on alpha: the search starts by
     looking for a set of at least that size, which prunes from the first
@@ -288,10 +306,14 @@ def alpha_branch_reduce(
     start = time.perf_counter()
     check_deadline(deadline)
     petersen = isinstance(g, GeneralizedPetersen)
+    spoke = petersen and not want_witness and not is_bipartite(g.n, g.k)
     g = adjacency(g) if petersen else g
     adj = _graph_to_masks(g)
     if petersen:  # some maximum set misses u_0 (module docstring)
         adj = _delete(adj, 1, adj[0])
+    if spoke:  # off the bipartite cells one misses the spoke u_0 v_0 too
+        v0 = g.vertex_count // 2
+        adj = _delete(adj, 1 << v0, adj[v0])
     size, chosen = _best_set(adj, g.vertex_count, lower_hint - 1, deadline)
     if chosen is None:
         # a search from lower_hint - 1 finds a set whenever alpha >= lower_hint
@@ -299,7 +321,7 @@ def alpha_branch_reduce(
     witness = tuple(sorted(chosen))
     if len(witness) != size or not is_independent(g, witness):
         raise InternalError("branch-reduce produced an inconsistent witness")
-    return ExactResult(size, "branch-reduce", witness, time.perf_counter() - start)
+    return ExactResult(size, "branch-reduce", witness if want_witness else None, time.perf_counter() - start)
 
 
 # ---------------------------------------------------------------------------
@@ -363,6 +385,10 @@ def maximum_independent_sets(g: AdjacencyGraph) -> list[frozenset[int]]:
 # ("extrapolated" in BENCH_dispatch.json, with the machine) and run faster
 # there.  Mis-routes are left for a refit: (151,11) goes to the DP (0.72 s)
 # although branch-reduce takes 0.19 s, as do the other k = 11 cells measured.
+# The constants also predate both pair cuts of the module docstring (half the
+# DP's seeds, and v_0 out of a value-only search), which make each engine
+# faster than its estimate; they stay until that refit, so that no route and
+# no `method` label moves with the cuts.
 _DP_COST = 2.9e-9
 _BR_COST = 1.7e-3
 _BR_RATE = 0.0508
@@ -393,7 +419,9 @@ def alpha(
     "closed", "dp" and "bb" force one route and raise DomainError when its
     precondition fails.  The closed form, the branch-reduce lower hint and
     the bounds that every engine value must lie within (else InternalError)
-    all come from one best_bounds report.
+    all come from one best_bounds report.  `want_witness` goes to the engine,
+    so the result has a witness exactly when one was requested: a value-only
+    answer has witness None on every route.
     """
     g = petersen_graph(n, k)
     start = time.perf_counter()
@@ -412,7 +440,7 @@ def alpha(
     if strategy == "dp" or (strategy == "auto" and _dp_is_cheaper(n, k)):
         result = alpha_window_dp(n, k, want_witness=want_witness, deadline=deadline)
     else:
-        result = alpha_branch_reduce(g, lower_hint=lower, deadline=deadline)
+        result = alpha_branch_reduce(g, want_witness=want_witness, lower_hint=lower, deadline=deadline)
     if not lower <= result.value <= upper:
         raise InternalError(f"{result.method} gave alpha(P({n},{k})) = {result.value}, "
                             f"outside the bounds [{lower}, {upper}]")

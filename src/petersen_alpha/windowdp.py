@@ -18,7 +18,7 @@ import functools
 import numpy as np
 
 from .errors import InternalError, check_deadline
-from .graph import petersen_violations
+from .graph import is_bipartite, petersen_violations
 
 # State before column i: (u_bit, w) where u_bit is the membership of u_{i-1}
 # and bit j of w is the membership of v_{i-1-j} (bit 0 newest, bit k-1 the
@@ -29,9 +29,12 @@ from .graph import petersen_violations
 # and leads to state (a, ((w << 1) | b) mod 2^k) with gain a + b.  Seeding the
 # sweep with a boundary state makes the first k columns check the wrap edges
 # against the seeded bits; accepting only terminal states equal to the seed
-# closes the cycle.  The seeds are the 2^k states with u_bit = 0, u_{n-1} out,
-# by the rotation fact of solver's module docstring; they come first in state
-# order, so the first maximal seed is the one a sweep of all states would pick.
+# closes the cycle.  By the pair facts of solver's module docstring the seeds
+# are the 2^k states with u_bit = 0 (u_{n-1} out) on a bipartite cell, and on
+# every other cell the 2^(k-1) of them whose oldest bit is 0 too (the pair
+# u_{n-1}, v_{n-k} out).  Either set comes first in state order, so the first
+# maximal seed is the one a sweep of all states would pick, and so is the
+# witness.
 #
 # States (u_bit=1, odd w) violate the spoke at their own column, so no
 # transition ever writes them; they stay at the sentinel (or, after a block
@@ -146,9 +149,10 @@ def solve(n: int, k: int, want_witness: bool,
           deadline: float | None) -> tuple[int, tuple[int, ...] | None]:
     """alpha_window_dp's (value, witness) on arguments it has checked; the
     witness is None unless `want_witness`."""
-    seeds = np.arange(1 << k)
+    seeds = np.arange(1 << (k if is_bipartite(n, k) else k - 1))
     # 2^18 states per chunk: each value table is 0.5 MB of int16 and stays
-    # in cache across the n columns; every k <= 8 is still a single chunk
+    # in cache across the n columns; every k <= 8 is a single chunk, and so
+    # is k = 9 off the bipartite cells
     chunk_rows = max(1, (1 << 18) >> (k + 1))
     best, seed, marks = -1, 0, []
     for lo in range(0, len(seeds), chunk_rows):

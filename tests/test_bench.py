@@ -43,3 +43,15 @@ def test_help_names_the_suites():
     proc = subprocess.run([sys.executable, str(SCRIPT), "--help"], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert all(name in proc.stdout for name in ("witness", "branch", "dispatch"))
+
+
+def test_label_src_pairs():
+    suite, pairs = bench.parse(["branch", "--label", "before", "--src", "old/src", "--label", "after", "--src", "src"])
+    assert (suite, pairs) == ("branch", [("before", Path("old/src")), ("after", Path("src"))])
+    assert bench.parse(["witness", "--label", "now"]) == ("witness", [("now", ROOT / "src")])
+    for argv in (["branch", "--label", "a", "--label", "b"],
+                 ["branch", "--label", "a", "--src", "x", "--src", "y"],
+                 ["branch", "--label", "a", "--src", "x", "--label", "a", "--src", "y"]):
+        with pytest.raises(SystemExit) as exc:
+            bench.parse(argv)
+        assert exc.value.code == 2, argv

@@ -28,6 +28,7 @@ from petersen_alpha import (
     petersen_graph,
     solver,
 )
+from petersen_alpha.graph import is_bipartite
 from petersen_alpha.solver import _bits, _clique_cover_bound, _delete, _dp_is_cheaper, _graph_to_masks, _reduce
 from petersen_alpha.windowdp import _BLOCK, _NEG, _dp_tables, _final_values, _sweep, _transfer_block
 
@@ -149,15 +150,44 @@ def test_branch_reduce_never_skips_by_default():
 
 
 def test_alpha_asks_for_the_root_skip(monkeypatch):
+    """alpha() hands branch-reduce P(n,k) itself, and says whether it wants
+    a witness, so that a value-only call may leave out the spoke u_0 v_0."""
     calls = []
 
     def spy(g, **kwargs):
-        calls.append(g)
+        calls.append((type(g), kwargs.get("want_witness")))
         return alpha_branch_reduce(g, **kwargs)
 
     monkeypatch.setattr(solver, "alpha_branch_reduce", spy)
     alpha(29, 13, "bb")
-    assert [type(g) for g in calls] == [GeneralizedPetersen]
+    alpha(29, 13, "bb", want_witness=True)
+    assert calls == [(GeneralizedPetersen, False), (GeneralizedPetersen, True)]
+
+
+@given(st.integers(min_value=5, max_value=30).flatmap(
+    lambda n: st.tuples(st.just(n), st.integers(min_value=1, max_value=(n - 1) // 2))))
+@settings(max_examples=100, deadline=None)
+@example((16, 3))  # a bipartite cell, where alpha = n
+def test_value_only_search_leaves_out_the_spoke(cell):
+    """A value-only search of P(n,k) without u_0 v_0 keeps alpha off the
+    bipartite cells; on them it must search with v_0, since P(n,k) - u_0 -
+    v_0 has only n - 1 spokes left and so alpha below n."""
+    n, k = cell
+    value_only = alpha_branch_reduce(petersen_graph(n, k), want_witness=False)
+    assert value_only.witness is None
+    assert value_only.value == alpha_branch_reduce(petersen_graph(n, k)).value
+    if n <= 16:
+        assert value_only.value == alpha_oracle(adjacency(petersen_graph(n, k)))
+    if is_bipartite(n, k):
+        assert value_only.value == n
+
+
+def test_value_only_alpha_has_no_witness():
+    for (n, k), method in [((10, 2), "closed-form"), ((13, 6), "window-dp"), ((29, 13), "branch-reduce")]:
+        r = alpha(n, k)
+        assert (r.method, r.witness) == (method, None), (n, k)
+    r = alpha(29, 13, "bb", want_witness=True)
+    assert len(r.witness) == r.value and is_independent(adjacency(petersen_graph(29, 13)), r.witness)
 
 
 @given(st.integers(min_value=5, max_value=30).flatmap(
@@ -368,6 +398,20 @@ def test_first_maximal_seed_has_u_out(cell):
     u_out = states >> k == 0
     assert finals[u_out].max() == finals.max()
     assert u_out[np.argmax(finals)]
+
+
+@given(st.integers(min_value=5, max_value=40).flatmap(
+    lambda n: st.tuples(st.just(n), st.integers(min_value=1, max_value=min(8, (n - 1) // 2))))
+    .filter(lambda cell: not is_bipartite(*cell)))
+@settings(max_examples=60, deadline=None)
+def test_first_maximal_seed_has_the_pair_out(cell):
+    """Off the bipartite cells some maximum set misses the pair u_{n-1},
+    v_{n-k}: of the 2^k seeds with u_{n-1} out, the first maximal one lies
+    in the first 2^(k-1), those with the oldest window bit (v_{n-k}) 0 as
+    well; so seeding only those keeps value and witness."""
+    n, k = cell
+    finals = _final_values(n, k, np.arange(1 << k), None)
+    assert np.argmax(finals) < 1 << (k - 1)
 
 
 # k <= 5 goes through 64-column transfer blocks: n below one block, past one, past two
