@@ -20,11 +20,11 @@ key as it was:
   branch    BENCH_branch.json.  alpha(n, k) as the table asks it (call
             "alpha") or alpha_branch_reduce on the adjacency of P(n, k)
             without a hint (call "unhinted": an AdjacencyGraph, so searched
-            whole, where alpha() searches P(n, k) without u_0 and, off the
-            bipartite cells, without v_0 too), in seconds
-            (s); and the median share of the call spent in solver._reduce and
-            solver._clique_cover_bound, from REPEATS more samples that time
-            them (the timers slow the call, so their totals are not kept).
+            whole, where alpha() searches P(n, k) without u_0 and v_k), in
+            seconds (s); and the median share of the call spent in
+            solver._reduce and solver._clique_cover_bound, from REPEATS more
+            samples that time them (the timers slow the call, so their
+            totals are not kept).
   dispatch  BENCH_dispatch.json.  alpha(n, k, "dp") and alpha(n, k, "bb")
             (dp_s, br_s) on the grid k = 6..12, n = 31..121 without the
             cells that have a closed form, since "auto" never solves them.

@@ -16,7 +16,7 @@ segment, so the intersection can never exceed 2k.
 
 `petersen_violations` is the one check of which edges of P(n,k) lie inside a
 vertex set: witnesses and segments use it, and it never builds the graph.
-`adjacency` serves branch-and-reduce and the decomposition check.
+`adjacency` and `petersen_masks` (bitmasks) build P(n,k) from one edge list.
 
 All functions here are pure; instances are immutable and safe to share.
 """
@@ -123,15 +123,25 @@ def is_bipartite(n: int, k: int) -> bool:
     return n % 2 == 0 and k % 2 == 1
 
 
+def _edges(n: int, k: int) -> Iterator[tuple[int, int]]:
+    """Each edge of P(n,k) once: u_i u_{i+1}, u_i v_i and v_i v_{i+k} for each i."""
+    for i in range(n):
+        yield from ((i, (i + 1) % n), (i, n + i), (n + i, n + (i + k) % n))
+
+
 def adjacency(g: GeneralizedPetersen) -> AdjacencyGraph:
     """Adjacency lists of P(n,k) under the canonical encoding (deterministic)."""
-    n, k = g.n, g.k
-    edges = []
-    for i in range(n):
-        edges.append((i, (i + 1) % n))          # outer cycle
-        edges.append((i, n + i))                # spoke
-        edges.append((n + i, n + (i + k) % n))  # inner chord
-    return AdjacencyGraph.from_edges(2 * n, edges)
+    return AdjacencyGraph.from_edges(2 * g.n, _edges(g.n, g.k))
+
+
+def petersen_masks(n: int, k: int) -> dict[int, int]:
+    """The neighbour bitmask of each vertex code of P(n,k), in code order."""
+    petersen_graph(n, k)
+    masks = [0] * (2 * n)
+    for a, b in _edges(n, k):
+        masks[a] |= 1 << b
+        masks[b] |= 1 << a
+    return dict(enumerate(masks))
 
 
 def segment_vertices(g: GeneralizedPetersen, t: int, length: int | None = None) -> tuple[int, ...]:

@@ -21,23 +21,15 @@ Three independent routes compute alpha(P(n,k)):
 * a tiny exhaustive oracle (one memoized subset recursion, at most 32
   vertices) that the test suite uses as ground truth.
 
-Both exact engines on P(n,k) cut their work by rotation facts; the rotation
-i -> i+1 is an automorphism, so a vertex some maximum set misses can be moved
-to any index.
-
-* The outer cycle is not independent, so every maximum set misses some outer
-  vertex.
-* Two families of n vertex pairs each split the 2n vertices: the spokes
-  (u_i, v_i), and the pairs (u_i, v_{i+1-k}).  A set that meets every pair of
-  a family has at least n members, and alpha = n exactly when P(n,k) is
-  bipartite (n even, k odd; `graph.is_bipartite`).  So on every other cell
-  each maximum set misses a whole pair of each family.
-
-Branch-reduce searches P(n,k) - u_0 for a witness, and for the value alone
-P(n,k) - u_0 - v_0 off the bipartite cells.  The window DP seeds the boundary
-states with u_{n-1} out on bipartite cells, and elsewhere only those with the
-pair u_{n-1}, v_{n-k} out; both sets come first in its state order, so its
-witnesses are those of a sweep from every state.
+Both exact engines on P(n,k) rest on one pair lemma.  For each d the n pairs
+(u_i, v_{i+d}) split the 2n vertices, and alpha = n exactly on the bipartite
+cells (n even, k odd; `graph.is_bipartite`).  Off them every maximum set misses
+a whole pair, which the rotation i -> i+1 moves to (u_0, v_d); on them the
+colour class {u_odd, v_even} misses (u_0, v_d) for every odd d.  Branch-reduce
+takes d = k, odd on the bipartite cells, and searches P(n,k) - u_0 for a
+witness and P(n,k) - u_0 - v_k for the value.  The window DP takes d = 1 - k
+at (u_{n-1}, v_{n-k}) and seeds the states with that pair out, or, on the
+bipartite cells, where 1 - k is even, those with u_{n-1} out (`windowdp`).
 
 All engines return the same values.  The dispatcher answers from a closed
 form when one applies, and otherwise runs whichever of the DP and
@@ -55,7 +47,7 @@ from dataclasses import dataclass
 
 from . import bounds as _bounds
 from .errors import DomainError, InternalError, check_deadline
-from .graph import AdjacencyGraph, GeneralizedPetersen, adjacency, is_bipartite, is_independent, petersen_graph
+from .graph import AdjacencyGraph, GeneralizedPetersen, petersen_graph, petersen_masks
 
 K_DP_DEFAULT = 12
 _ORACLE_CAP = 32
@@ -290,11 +282,10 @@ def alpha_branch_reduce(
 ) -> ExactResult:
     """Exact alpha of an arbitrary simple graph by branch and reduce.
 
-    g is an AdjacencyGraph, always searched whole, or P(n,k) as
-    `petersen_graph(n, k)` returns it, searched without u_0 (vertex 0) by
-    the rotation facts of the module docstring; without `want_witness`,
-    unless P(n,k) is bipartite, v_0 (vertex n) goes too.  The witness is the
-    searched maximum set, or None without `want_witness`.
+    g is an AdjacencyGraph, searched whole, or P(n,k) as `petersen_graph(n, k)`
+    returns it, searched as `graph.petersen_masks` without u_0 (vertex 0) and,
+    without `want_witness`, v_k (vertex n + k) too (module docstring).  The
+    witness, checked against the whole graph, is None without `want_witness`.
 
     `lower_hint` must be a valid lower bound on alpha: the search starts by
     looking for a set of at least that size, which prunes from the first
@@ -305,21 +296,21 @@ def alpha_branch_reduce(
     """
     start = time.perf_counter()
     check_deadline(deadline)
-    petersen = isinstance(g, GeneralizedPetersen)
-    spoke = petersen and not want_witness and not is_bipartite(g.n, g.k)
-    g = adjacency(g) if petersen else g
-    adj = _graph_to_masks(g)
-    if petersen:  # some maximum set misses u_0 (module docstring)
-        adj = _delete(adj, 1, adj[0])
-    if spoke:  # off the bipartite cells one misses the spoke u_0 v_0 too
-        v0 = g.vertex_count // 2
-        adj = _delete(adj, 1 << v0, adj[v0])
-    size, chosen = _best_set(adj, g.vertex_count, lower_hint - 1, deadline)
+    if isinstance(g, GeneralizedPetersen):
+        masks = petersen_masks(g.n, g.k)
+        cut = (0,) if want_witness else (0, g.n + g.k)
+    else:
+        masks, cut = _graph_to_masks(g), ()
+    adj = masks.copy()  # the search pops from adj, and masks checks the witness
+    for v in cut:
+        adj = _delete(adj, 1 << v, adj[v])
+    size, chosen = _best_set(adj, len(masks), lower_hint - 1, deadline)
     if chosen is None:
         # a search from lower_hint - 1 finds a set whenever alpha >= lower_hint
         raise InternalError(f"lower bound hint {lower_hint} exceeds the optimum (alpha <= {lower_hint - 1})")
     witness = tuple(sorted(chosen))
-    if len(witness) != size or not is_independent(g, witness):
+    members = sum(1 << v for v in witness)
+    if len(witness) != size or any(masks[v] & members for v in witness):
         raise InternalError("branch-reduce produced an inconsistent witness")
     return ExactResult(size, "branch-reduce", witness if want_witness else None, time.perf_counter() - start)
 
@@ -377,18 +368,15 @@ def maximum_independent_sets(g: AdjacencyGraph) -> list[frozenset[int]]:
 
 
 # Estimated seconds of each engine on P(n,k): the `fit` of the top-level
-# `grid` in BENCH_dispatch.json, which `scripts/bench.py dispatch` re-times:
+# `grid` (n <= 121) in BENCH_dispatch.json, which `scripts/bench.py dispatch`
+# re-times:
 #     window DP       _DP_COST * 4**k * n
 #     branch-reduce   _BR_COST * exp(_BR_RATE * n)
-# The grid has n <= 121; past it the model is extrapolated, and the cells
-# where that sends k <= 12 to branch-reduce (122 <= n <= 166) were measured
-# ("extrapolated" in BENCH_dispatch.json, with the machine) and run faster
-# there.  Mis-routes are left for a refit: (151,11) goes to the DP (0.72 s)
-# although branch-reduce takes 0.19 s, as do the other k = 11 cells measured.
-# The constants also predate both pair cuts of the module docstring (half the
-# DP's seeds, and v_0 out of a value-only search), which make each engine
-# faster than its estimate; they stay until that refit, so that no route and
-# no `method` label moves with the cuts.
+# Past the grid the model is extrapolated.  The cells with 122 <= n <= 166 it
+# sends to branch-reduce ran faster there ("extrapolated" in that file), but
+# k = 11 cells such as (151,11) still go to the DP (0.72 s against 0.19 s).
+# The constants predate both pair cuts of the module docstring, which make
+# each engine faster; they stay until a refit, so that no route moves.
 _DP_COST = 2.9e-9
 _BR_COST = 1.7e-3
 _BR_RATE = 0.0508

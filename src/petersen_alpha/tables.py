@@ -62,11 +62,11 @@ def table_cells(n_max: int) -> list[tuple[int, int]]:
 
 
 def cache_load(path: str | Path) -> dict[tuple[int, int], TableCell]:
-    """Load the JSONL cache; malformed lines (including any line that is not
-    UTF-8, any record whose n, k, alpha or elapsed_ms is not an integer, such
-    as a timeout record, and any record whose method names no solver) are
-    skipped with a warning, so their cells are computed again; conflicting
-    alpha values for one cell are a hard error."""
+    """Load the JSONL cache.  A line is skipped with a warning, so its cell is
+    computed again, unless it is UTF-8 JSON of integers n, k, alpha and
+    elapsed_ms (a timeout record is not) and a method naming a solver, with
+    k >= 1, n > 2k and ceil(2n/3) <= alpha <= n (the spokes bound alpha by n;
+    Brooks' theorem 3-colours P(n,k)).  Conflicting alphas are a hard error."""
     out: dict[tuple[int, int], TableCell] = {}
     p = Path(path)
     if not p.exists():
@@ -84,6 +84,8 @@ def cache_load(path: str | Path) -> dict[tuple[int, int], TableCell]:
                 if rec["method"] not in ("closed-form", "window-dp", "branch-reduce"):
                     raise ValueError("method must name a solver")
                 cell = TableCell(rec["n"], rec["k"], rec["alpha"], rec["method"], rec["elapsed_ms"])
+                if not (1 <= cell.k and 2 * cell.k < cell.n and -(-2 * cell.n // 3) <= cell.alpha <= cell.n):
+                    raise ValueError("no P(n,k) has this alpha")
             except (KeyError, TypeError, ValueError):  # UnicodeDecodeError and JSONDecodeError too
                 log.warning("%s:%d: skipping malformed cache line", p, lineno)
                 continue

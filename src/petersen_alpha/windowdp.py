@@ -29,7 +29,7 @@ from .graph import is_bipartite, petersen_violations
 # and leads to state (a, ((w << 1) | b) mod 2^k) with gain a + b.  Seeding the
 # sweep with a boundary state makes the first k columns check the wrap edges
 # against the seeded bits; accepting only terminal states equal to the seed
-# closes the cycle.  By the pair facts of solver's module docstring the seeds
+# closes the cycle.  By the pair lemma of solver's module docstring the seeds
 # are the 2^k states with u_bit = 0 (u_{n-1} out) on a bipartite cell, and on
 # every other cell the 2^(k-1) of them whose oldest bit is 0 too (the pair
 # u_{n-1}, v_{n-k} out).  Either set comes first in state order, so the first

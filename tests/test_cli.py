@@ -145,7 +145,7 @@ def test_table_file_error_exit_1(tmp_path, capsys):
 def test_table_conflicting_cache_exit_2(tmp_path, capsys):
     cache_path = tmp_path / "c.jsonl"
     tables.cache_append(cache_path, tables.TableCell(5, 1, 4, "closed-form", 0))
-    tables.cache_append(cache_path, tables.TableCell(5, 1, 3, "window-dp", 0))
+    tables.cache_append(cache_path, tables.TableCell(5, 1, 5, "window-dp", 0))
     code, out, err = run(capsys, "table", "--n-max", "6", "--cache", str(cache_path))
     assert code == 2 and out == ""
     assert err.startswith("consistency error:") and "(5,1)" in err
@@ -169,6 +169,23 @@ def test_malformed_cache_lines_are_recomputed(tmp_path, capsys):
         assert {cell: (c.alpha, c.method) for cell, c in cells.items()} == {
             (5, 1): (4, "closed-form"), (5, 2): (4, "closed-form"),
             (6, 1): (6, "closed-form"), (6, 2): (4, "closed-form")}, command
+
+
+def test_impossible_cache_values_are_recomputed(tmp_path, capsys):
+    """alpha(P(5,1)) = 7 exceeds n and alpha(P(5,2)) = 3 is below 2n/3: both
+    records are skipped and solved again, so table prints the true values
+    and conjecture reports no violation."""
+    bad = (b'{"n": 5, "k": 1, "alpha": 7, "method": "closed-form", "elapsed_ms": 0}\n'
+           b'{"n": 5, "k": 2, "alpha": 3, "method": "branch-reduce", "elapsed_ms": 0}\n')
+    cache_path = tmp_path / "c.jsonl"
+    for command in ("table", "conjecture"):
+        plain = run(capsys, command, "--n-max", "6")
+        cache_path.write_bytes(bad)
+        code, out, err = run(capsys, command, "--n-max", "6", "--cache", str(cache_path))
+        assert (code, out) == plain[:2] and plain[0] == 0, command
+        assert "VIOLATION" not in out and "5,1,7" not in out and "5,2,3" not in out
+        cells = tables.cache_load(cache_path)
+        assert (cells[5, 1].alpha, cells[5, 2].alpha) == (4, 4), command
 
 
 def test_table_rejects_zero_jobs_exit_1(capsys):

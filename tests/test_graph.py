@@ -16,7 +16,8 @@ from petersen_alpha import (
     segment_subgraph,
     segment_vertices,
 )
-from petersen_alpha.graph import petersen_violations
+from petersen_alpha.graph import petersen_masks, petersen_violations
+from petersen_alpha.solver import _graph_to_masks
 
 valid_nk = st.integers(min_value=1, max_value=12).flatmap(
     lambda k: st.tuples(st.integers(min_value=2 * k + 1, max_value=60), st.just(k))
@@ -242,6 +243,21 @@ def test_segment_intersection_never_exceeds_2k(nk, t):
     sub, _ = segment_subgraph(g, t % n)
     if sub.vertex_count <= 24:
         assert alpha_oracle(sub) <= 2 * k
+
+
+@given(st.integers(min_value=3, max_value=60).flatmap(
+    lambda n: st.tuples(st.just(n), st.integers(min_value=1, max_value=(n - 1) // 2))))
+@settings(max_examples=100, deadline=None)
+def test_petersen_masks_are_the_adjacency_as_bits(cell):
+    """The masks branch-reduce searches are the adjacency lists of P(n,k) as
+    bits, keyed in the same vertex order, so its search meets them alike."""
+    masks = petersen_masks(*cell)
+    assert list(masks.items()) == list(_graph_to_masks(adjacency(petersen_graph(*cell))).items())
+
+
+def test_petersen_masks_reject_bad_family():
+    with pytest.raises(DomainError):
+        petersen_masks(6, 3)
 
 
 def test_adjacency_graph_validates():

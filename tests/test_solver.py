@@ -23,6 +23,7 @@ from petersen_alpha import (
     alpha_oracle,
     alpha_window_dp,
     best_bounds,
+    graph,
     is_independent,
     maximum_independent_sets,
     petersen_graph,
@@ -151,7 +152,7 @@ def test_branch_reduce_never_skips_by_default():
 
 def test_alpha_asks_for_the_root_skip(monkeypatch):
     """alpha() hands branch-reduce P(n,k) itself, and says whether it wants
-    a witness, so that a value-only call may leave out the spoke u_0 v_0."""
+    a witness, so that a value-only call may leave out the pair u_0, v_k."""
     calls = []
 
     def spy(g, **kwargs):
@@ -169,9 +170,10 @@ def test_alpha_asks_for_the_root_skip(monkeypatch):
 @settings(max_examples=100, deadline=None)
 @example((16, 3))  # a bipartite cell, where alpha = n
 def test_value_only_search_leaves_out_the_spoke(cell):
-    """A value-only search of P(n,k) without u_0 v_0 keeps alpha off the
-    bipartite cells; on them it must search with v_0, since P(n,k) - u_0 -
-    v_0 has only n - 1 spokes left and so alpha below n."""
+    """A value-only search of P(n,k) without u_0 and v_k keeps alpha on every
+    cell.  On the bipartite cells, where alpha = n, the colour class
+    {u_odd, v_even} misses both, since k is odd there; leaving out the spoke
+    u_0 v_0 instead would leave n - 1 spokes and so alpha below n."""
     n, k = cell
     value_only = alpha_branch_reduce(petersen_graph(n, k), want_witness=False)
     assert value_only.witness is None
@@ -180,6 +182,43 @@ def test_value_only_search_leaves_out_the_spoke(cell):
         assert value_only.value == alpha_oracle(adjacency(petersen_graph(n, k)))
     if is_bipartite(n, k):
         assert value_only.value == n
+
+
+def test_value_only_search_cuts_u0_and_vk(monkeypatch):
+    """A value-only search of P(n,k), bipartite (16,3) or not (29,13), starts
+    from the graph without u_0 and v_k (vertex n + k) and nothing else; a
+    witness search keeps v_k."""
+    searched = []
+    real = solver._best_set
+
+    def spy(adj, *args):
+        searched.append(set(adj))  # before the search pops from adj
+        return real(adj, *args)
+
+    monkeypatch.setattr(solver, "_best_set", spy)
+    for n, k in [(16, 3), (29, 13)]:
+        for want_witness in (False, True):
+            searched.clear()
+            alpha_branch_reduce(petersen_graph(n, k), want_witness=want_witness)
+            cut = {0} if want_witness else {0, n + k}
+            assert searched == [set(range(2 * n)) - cut], (n, k, want_witness)
+
+
+def test_branch_reduce_on_petersen_builds_no_adjacency(monkeypatch):
+    """Branch-reduce reads P(n,k) from graph.petersen_masks: it builds no
+    AdjacencyGraph and asks no bipartite test, for the value or a witness."""
+    calls = []
+    for name in ("adjacency", "is_bipartite", "is_independent"):
+        def counted(*args, _name=name, _real=getattr(graph, name)):
+            calls.append(_name)
+            return _real(*args)
+        monkeypatch.setattr(graph, name, counted)
+        monkeypatch.setattr(solver, name, counted, raising=False)
+    for n, k in [(16, 3), (29, 13)]:
+        for want_witness in (False, True):
+            r = alpha_branch_reduce(petersen_graph(n, k), want_witness=want_witness)
+            assert r.value == alpha(n, k).value
+    assert calls == []
 
 
 def test_value_only_alpha_has_no_witness():

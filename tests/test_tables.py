@@ -83,11 +83,16 @@ def test_cache_skips_malformed_lines(tmp_path, caplog):
         b'{"n": 7, "k": 3, "alpha": 5, "method": 5, "elapsed_ms": 0}\n'
         b'{"n": 8, "k": 1, "alpha": 8, "method": "guess", "elapsed_ms": 0}\n'
         b'{"n": 8, "k": 2, "alpha": 6, "method": ["closed-form"], "elapsed_ms": 0}\n'
+        b'{"n": 5, "k": 1, "alpha": 7, "method": "closed-form", "elapsed_ms": 0}\n'
+        b'{"n": 5, "k": 2, "alpha": 3, "method": "branch-reduce", "elapsed_ms": 0}\n'
+        b'{"n": 9, "k": 0, "alpha": 9, "method": "closed-form", "elapsed_ms": 0}\n'
+        b'{"n": 8, "k": 4, "alpha": 8, "method": "closed-form", "elapsed_ms": 0}\n'
+        b'{"n": 1' + b'0' * 400 + b', "k": 1, "alpha": 1, "method": "closed-form", "elapsed_ms": 0}\n'
     )
     with caplog.at_level("WARNING"):
         loaded = cache_load(path)
     assert set(loaded) == {(5, 2)}
-    assert sum("malformed" in r.message for r in caplog.records) == 11
+    assert sum("malformed" in r.message for r in caplog.records) == 16
 
 
 def test_cache_skips_solved_record_without_alpha(tmp_path, caplog):
