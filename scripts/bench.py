@@ -7,8 +7,9 @@ Each --label names the source tree of the --src in the same place (one
 --label alone defaults to this checkout's src).  Every sample is one call in
 a fresh interpreter on one tree, after a warm-up with the same call on a cell
 no sample uses (k = 3), so no cache or memo carries over between samples.  A
-sample can also time named functions inside the call; a row keeps medians
-over REPEATS samples.  The trees take turns sample by sample, in the order
+sample can also time named functions inside the call; a row keeps the median
+of each timed quantity over REPEATS samples, and its minimum under the same
+key with "_min" appended.  The trees take turns sample by sample, in the order
 given on even repeats and reversed on odd ones, so a slow phase of the
 machine falls on all of them alike.  Each suite writes each tree's rows under
 its NAME in the "runs" of its file, with the machine, and leaves every other
@@ -121,18 +122,23 @@ def median(values, digits: int = 5) -> float:
     return round(statistics.median(values), digits)
 
 
+def timed(key: str, seconds: list[float], digits: int = 5) -> dict:
+    """The median of a timed quantity under key, and its minimum under key_min."""
+    return {key: median(seconds, digits), f"{key}_min": round(min(seconds), digits)}
+
+
 def witness_rows(srcs: list[Path], n: int, k: int) -> list[dict]:
     values = samples(srcs, "value", n, k)
     withs = samples(srcs, "witness", n, k, "windowdp._dp_witness")
-    return [{"n": n, "k": k, "value_s": median(t for t, in value),
-             "with_witness_s": median(t for t, _ in both), "witness_s": median(w for _, w in both)}
+    return [{"n": n, "k": k, **timed("value_s", [t for t, in value]),
+             **timed("with_witness_s", [t for t, _ in both]), **timed("witness_s", [w for _, w in both])}
             for value, both in zip(values, withs)]
 
 
 def branch_rows(srcs: list[Path], call: str, n: int, k: int) -> list[dict]:
     plains = samples(srcs, call, n, k)
     wrappeds = samples(srcs, call, n, k, "solver._reduce", "solver._clique_cover_bound")
-    return [{"call": call, "n": n, "k": k, "s": median(t for t, in plain),
+    return [{"call": call, "n": n, "k": k, **timed("s", [t for t, in plain]),
              "reduce_share": median((r / t for t, r, _ in wrapped), 3),
              "clique_cover_share": median((c / t for t, _, c in wrapped), 3)}
             for plain, wrapped in zip(plains, wrappeds)]
@@ -140,24 +146,26 @@ def branch_rows(srcs: list[Path], call: str, n: int, k: int) -> list[dict]:
 
 def dispatch_rows(srcs: list[Path], n: int, k: int) -> list[dict]:
     dps, bbs = samples(srcs, "dp", n, k), samples(srcs, "bb", n, k)
-    return [{"n": n, "k": k, "dp_s": median((t for t, in dp), 6), "br_s": median((t for t, in bb), 6)}
+    return [{"n": n, "k": k, **timed("dp_s", [t for t, in dp], 6), **timed("br_s", [t for t, in bb], 6)}
             for dp, bb in zip(dps, bbs)]
 
 
 SUITES = {  # suite: (file, cells, each tree's row of one cell, what the rows hold)
     "witness": ("BENCH_witness.json", WITNESS_CELLS, witness_rows,
-                "median seconds over fresh interpreters of alpha_window_dp without and "
-                "with a witness, and of the witness phase (_dp_witness) inside the latter"),
+                "median (and, under *_min, minimum) seconds over fresh interpreters of "
+                "alpha_window_dp without and with a witness, and of the witness phase "
+                "(_dp_witness) inside the latter"),
     "branch": ("BENCH_branch.json", BRANCH_CELLS, branch_rows,
-               "median seconds over fresh interpreters of alpha(n, k) (call 'alpha') or of "
-               "alpha_branch_reduce on P(n, k) without a hint (call 'unhinted'), and the "
-               "median shares of the call spent in solver._reduce and "
-               "solver._clique_cover_bound, timed in separate wrapped interpreters"),
+               "median (and, under *_min, minimum) seconds over fresh interpreters of "
+               "alpha(n, k) (call 'alpha') or of alpha_branch_reduce on P(n, k) without a "
+               "hint (call 'unhinted'), and the median shares of the call spent in "
+               "solver._reduce and solver._clique_cover_bound, timed in separate wrapped "
+               "interpreters"),
     "dispatch": ("BENCH_dispatch.json", DISPATCH_CELLS, dispatch_rows,
-                 "runs: median seconds over fresh interpreters of the forced window DP and "
-                 "branch-reduce per grid cell.  grid: the same, as medians of 3 timings in "
-                 "one warm interpreter, and fit: the dispatch constants solver.py uses, "
-                 "fitted from that grid"),
+                 "runs: median (and, under *_min, minimum) seconds over fresh interpreters "
+                 "of the forced window DP and branch-reduce per grid cell.  grid: the same, "
+                 "as medians of 3 timings in one warm interpreter, and fit: the dispatch "
+                 "constants solver.py uses, fitted from that grid"),
 }
 
 

@@ -71,22 +71,12 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    # progress lines go to stderr while the table is computed; the package
-    # logger is left as it was found, and the root logger is not touched
-    logger = logging.getLogger("petersen_alpha")
-    handler, level = logging.StreamHandler(sys.stderr), logger.level
-    logger.addHandler(handler)
-    logger.setLevel(logging.INFO)
-    try:
-        cells = tables.generate_table(
-            args.n_max,
-            cache_path=args.cache,
-            jobs=args.jobs,
-            budget_secs=args.budget_secs,
-        )
-    finally:
-        logger.removeHandler(handler)
-        logger.setLevel(level)
+    cells = tables.generate_table(
+        args.n_max,
+        cache_path=args.cache,
+        jobs=args.jobs,
+        budget_secs=args.budget_secs,
+    )
     if args.out:
         with Path(args.out).open("w", newline="") as f:
             tables.write_table_csv(cells, f)
@@ -191,6 +181,13 @@ def build_parser() -> _Parser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # progress lines and cache warnings go to stderr while the command runs;
+    # the package logger is left as it was found, and the root logger is not
+    # touched
+    logger = logging.getLogger("petersen_alpha")
+    handler, level = logging.StreamHandler(sys.stderr), logger.level
+    logger.addHandler(handler)
+    logger.setLevel(logging.INFO)
     try:
         return args.func(args)
     except (DomainError, OSError) as exc:
@@ -205,6 +202,9 @@ def main(argv: list[str] | None = None) -> int:
     except BudgetExceededError as exc:
         print(f"timeout: {exc}", file=sys.stderr)
         return EXIT_TIMEOUT
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
 
 
 if __name__ == "__main__":

@@ -103,13 +103,9 @@ def independent_set_even_even(n: int, k: int) -> IndependentSetWitness:
         members |= _outer_range(g, r - k, k - 1)
         members |= _outer_range(g, k + 1, r)
         members |= _inner_range(g, k, r - 1)
-    witness = IndependentSetWitness(
+    return _checked(IndependentSetWitness(
         n, k, frozenset(members), tiling_size_even_even(n, k), "even-even-tiling"
-    )
-    check = verify_witness(witness)
-    if not check:
-        raise InternalError(f"even/even witness failed self-check: {check.problems}")
-    return witness
+    ))
 
 
 def independent_set_odd_even(n: int, k: int) -> IndependentSetWitness:
@@ -136,26 +132,23 @@ def independent_set_odd_even(n: int, k: int) -> IndependentSetWitness:
         members |= _outer_range(g, k + 2, 2 * k + 1)
         members |= {g.inner(k)}
         members |= _inner_range(g, k + 1, 2 * k)
-    elif r < k:
+    else:  # r < k and r > k differ only in where two inner runs stop
         members |= _outer_range(g, 2, k - 1)
         members |= _outer_range(g, k + 1, 2 * k)
         members |= _outer_range(g, 2 * k + 2, 2 * k + r)
         members |= _inner_range(g, 1, k)
-        members |= _inner_range(g, k, k + r)
-        members |= _inner_range(g, 2 * k + 1, 2 * k + r - 1)
-    else:
-        members |= _outer_range(g, 2, k - 1)
-        members |= _outer_range(g, k + 1, 2 * k)
-        members |= _outer_range(g, 2 * k + 2, 2 * k + r)
-        members |= _inner_range(g, 1, k)
-        members |= _inner_range(g, k, 2 * k - 1)
-        members |= _inner_range(g, 2 * k + 1, 3 * k)
-    witness = IndependentSetWitness(
+        members |= _inner_range(g, k, min(k + r, 2 * k - 1))
+        members |= _inner_range(g, 2 * k + 1, min(2 * k + r - 1, 3 * k))
+    return _checked(IndependentSetWitness(
         n, k, frozenset(members), tiling_size_odd_even(n, k), "odd-even-tiling"
-    )
+    ))
+
+
+def _checked(witness: IndependentSetWitness) -> IndependentSetWitness:
+    """The witness once verify_witness passes it; InternalError otherwise."""
     check = verify_witness(witness)
     if not check:
-        raise InternalError(f"odd/even witness failed self-check: {check.problems}")
+        raise InternalError(f"{witness.source} witness failed self-check: {check.problems}")
     return witness
 
 

@@ -1,14 +1,18 @@
 """Path decomposition of P(n,k) with width 4k+3, plus the axiom validator.
 
-The first bag holds the k+1 leading spoke pairs and the k+1 trailing ones;
-each later bag swaps one spoke pair for the next, alternating between the
-front end (retire the oldest leading pair, admit the next) and the back end
-(retire the newest trailing pair, admit the preceding one).  After
-n - 2k - 2 swaps the two windows meet, giving n - 2k - 1 bags of 4k+4
-vertices each, i.e. width 4k+3.  Bag i is joined to bag i+1.  For
-n = 2k+1 the windows already cover every vertex, so the result is a single
-bag of width 2n-1, flagged trivial.  The construction self-validates once;
-`checked_path_decomposition` also returns that validation's report.
+Each bag holds a front window of k+1 consecutive spoke pairs u_i v_i and a
+back window of k+1 more.  Bag j, for 0 <= j < n - 2k - 1, is
+
+    pairs ceil(j/2) .. ceil(j/2) + k   and   pairs n-k-1-floor(j/2) .. n-1-floor(j/2),
+
+so bag 0 holds the k+1 leading and the k+1 trailing pairs, and each later
+bag swaps one pair, alternately at the front window (which moves up) and at
+the back window (which moves down), until the two windows meet.  That gives
+n - 2k - 1 bags of 4k+4 vertices each, i.e. width 4k+3, and bag j is joined
+to bag j+1.  For n = 2k+1 the windows already cover every vertex, so the
+result is a single bag of width 2n-1, flagged trivial.  The construction
+self-validates once; `checked_path_decomposition` also returns that
+validation's report.
 """
 
 from __future__ import annotations
@@ -55,14 +59,7 @@ class ValidationReport:
         return self.union_covers_v and self.every_edge_in_some_bag and self.occurrences_connected
 
     def to_dict(self) -> dict:
-        return {
-            "union_covers_v": self.union_covers_v,
-            "every_edge_in_some_bag": self.every_edge_in_some_bag,
-            "occurrences_connected": self.occurrences_connected,
-            "width": self.width,
-            "valid": self.valid,
-            "violations": self.violations,
-        }
+        return {**vars(self), "valid": self.valid}
 
 
 def path_decomposition(n: int, k: int) -> PathDecomposition:
@@ -88,30 +85,15 @@ def _build(g: GeneralizedPetersen) -> PathDecomposition:
     if n == 2 * k + 1:
         return PathDecomposition((frozenset(range(2 * n)),), trivial=True)
 
-    def pair(i: int) -> frozenset[int]:
-        return frozenset({g.outer(i), g.inner(i)})
+    def pairs_from(i: int) -> set[int]:
+        """The codes of the k+1 spoke pairs u_i v_i .. u_{i+k} v_{i+k}, none
+        past u_{n-1} v_{n-1}: u_t is t and v_t is n + t."""
+        return {*range(i, i + k + 1), *range(n + i, n + i + k + 1)}
 
-    m = n - 2 * k - 1
-    current: set[int] = set()
-    for i in range(k + 1):
-        current |= pair(i)
-    for i in range(n - k - 1, n):
-        current |= pair(i)
-    bags = [frozenset(current)]
-    front_remove, front_add = 0, k + 1
-    back_remove, back_add = n - 1, n - k - 2
-    for step in range(2, m + 1):
-        if step % 2 == 0:
-            current -= pair(front_remove)
-            current |= pair(front_add)
-            front_remove += 1
-            front_add += 1
-        else:
-            current -= pair(back_remove)
-            current |= pair(back_add)
-            back_remove -= 1
-            back_add -= 1
-        bags.append(frozenset(current))
+    bags = []
+    for j in range(n - 2 * k - 1):
+        front, back = (j + 1) // 2, j // 2
+        bags.append(frozenset(pairs_from(front) | pairs_from(n - k - 1 - back)))
     return PathDecomposition(tuple(bags))
 
 

@@ -40,8 +40,6 @@ class GeneralizedPetersen:
     def __post_init__(self) -> None:
         if self.k < 1:
             raise DomainError(f"k must be >= 1, got {self.k}")
-        if self.n < 3:
-            raise DomainError(f"n must be >= 3, got {self.n}")
         if self.n <= 2 * self.k:
             raise DomainError(f"P(n,k) requires n > 2k, got n={self.n}, k={self.k}")
 
@@ -91,8 +89,6 @@ class AdjacencyGraph:
         for a, b in edges:
             if not (0 <= a < vertex_count and 0 <= b < vertex_count):
                 raise DomainError(f"edge ({a},{b}) out of range")
-            if a == b:
-                raise DomainError(f"self-loop at {a}")
             adj[a].add(b)
             adj[b].add(a)
         return cls(vertex_count, tuple(tuple(sorted(s)) for s in adj))

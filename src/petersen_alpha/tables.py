@@ -42,11 +42,7 @@ class TableCell:
     elapsed_ms: int
 
     def to_json_line(self) -> str:
-        return json.dumps(
-            {"n": self.n, "k": self.k, "alpha": self.alpha, "method": self.method,
-             "elapsed_ms": self.elapsed_ms},
-            sort_keys=True,
-        )
+        return json.dumps(vars(self), sort_keys=True)
 
 
 def table_cells(n_max: int) -> list[tuple[int, int]]:
@@ -218,12 +214,7 @@ class ConjectureCell:
     case: str
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n, "k": self.k, "alpha": self.alpha,
-            "threshold": self.threshold, "holds": self.holds,
-            "beta": self.beta, "beta_bound": self.beta_bound,
-            "beta_holds": self.beta_holds, "case": self.case,
-        }
+        return dict(vars(self))
 
 
 @dataclass

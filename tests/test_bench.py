@@ -55,3 +55,20 @@ def test_label_src_pairs():
         with pytest.raises(SystemExit) as exc:
             bench.parse(argv)
         assert exc.value.code == 2, argv
+
+
+def test_rows_report_the_minimum_next_to_the_median(monkeypatch):
+    def fake_samples(srcs, call, n, k, *names):
+        runs = [[t * (1 + j) for j in range(1 + len(names))] for t in (0.3, 0.1, 0.5, 0.2, 0.4)]
+        return [runs for _ in srcs]
+
+    monkeypatch.setattr(bench, "samples", fake_samples)
+    srcs = [Path("before"), Path("after")]
+    assert bench.witness_rows(srcs, 2000, 6) == 2 * [
+        {"n": 2000, "k": 6, "value_s": 0.3, "value_s_min": 0.1, "with_witness_s": 0.3,
+         "with_witness_s_min": 0.1, "witness_s": 0.6, "witness_s_min": 0.2}]
+    assert bench.branch_rows(srcs, "alpha", 77, 37) == 2 * [
+        {"call": "alpha", "n": 77, "k": 37, "s": 0.3, "s_min": 0.1,
+         "reduce_share": 2.0, "clique_cover_share": 3.0}]
+    assert bench.dispatch_rows(srcs, 61, 9) == 2 * [
+        {"n": 61, "k": 9, "dp_s": 0.3, "dp_s_min": 0.1, "br_s": 0.3, "br_s_min": 0.1}]

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import logging
@@ -120,6 +121,17 @@ def test_table_reports_progress_on_stderr(capsys):
     assert logger.handlers == handlers and logger.level == level
 
 
+def test_conjecture_reports_progress_on_stderr(capsys):
+    logger = logging.getLogger("petersen_alpha")
+    handlers, level = list(logger.handlers), logger.level
+    code, out, err = run(capsys, "conjecture", "--n-max", "16", "--json")
+    assert code == 0
+    assert "computed 50/54 cells" in err
+    report = tables.check_conjecture(16, {(c.n, c.k): c.alpha for c in tables.generate_table(16)})
+    assert out == json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
+    assert logger.handlers == handlers and logger.level == level
+
+
 def test_table_writes_file_and_cache(tmp_path, capsys):
     out_path = tmp_path / "t.csv"
     cache_path = tmp_path / "c.jsonl"
@@ -163,8 +175,7 @@ def test_malformed_cache_lines_are_recomputed(tmp_path, capsys):
         cache_path.write_bytes(bad)
         code, out, err = run(capsys, command, "--n-max", "6", "--cache", str(cache_path))
         assert (code, out) == plain[:2] and plain[0] == 0
-        if command == "table":  # conjecture leaves logging to the caller
-            assert err.count("skipping malformed cache line") == 3
+        assert err.count("skipping malformed cache line") == 3, command
         cells = tables.cache_load(cache_path)
         assert {cell: (c.alpha, c.method) for cell, c in cells.items()} == {
             (5, 1): (4, "closed-form"), (5, 2): (4, "closed-form"),
@@ -224,9 +235,21 @@ def test_conjecture_from_cache_copy_solves_nothing(tmp_path, capsys, monkeypatch
         raise AssertionError(f"cell {args[:2]} was solved, not read from the cache")
 
     monkeypatch.setattr(tables, "_compute_cell", refuse)
-    assert run(capsys, "conjecture", "--n-max", "20", "--cache", str(cache_path)) == plain
-    assert plain[0] == 0
+    # the plain run reports its progress; the cached run computes nothing to report
+    assert run(capsys, "conjecture", "--n-max", "20", "--cache", str(cache_path)) == (*plain[:2], "")
+    assert plain[0] == 0 and "computed 50/88 cells" in plain[2]
     assert cache_path.read_bytes() == committed
+
+
+@pytest.mark.parametrize("argv,digest", [
+    (("conjecture", "--n-max", "20", "--json"),
+     "7dbeeccfb0f0f52e2e9743fd94662669a92402e9d2bc1326f097ba160e8aa28e"),
+    (("decompose", "--n", "20", "--k", "4", "--validate", "--json"),
+     "5e30cbe93ec681ccfef3056167a7b14bf0554b7719667c2aeb1fa2803d05fe29"),
+])
+def test_json_output_bytes_pinned(capsys, argv, digest):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_decompose_json_schema(capsys):

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -148,3 +150,18 @@ def test_sizes_never_exceed_density_upper_bound():
                 assert tiling_size_even_even(n, k) <= cap
             else:
                 assert tiling_size_odd_even(n, k) <= cap
+
+
+# sha256 of the member sets of both tiling builders over criterion 5's grid:
+# a line of comma-joined sorted codes per witness, even n then odd n per k
+MEMBERS_DIGEST = "2bd027b6505722b5d7efcd1d29f239c82e60c6c97410631772cdf3179889ceb0"
+
+
+def test_members_digest():
+    h = hashlib.sha256()
+    for k in (4, 6, 8, 10, 12):
+        witnesses = [independent_set_even_even(n, k) for n in range(2 * k + 2, 201, 2)]
+        witnesses += [independent_set_odd_even(n, k) for n in range(2 * k + 1, 202, 2)]
+        for w in witnesses:
+            h.update((",".join(map(str, sorted(w.members))) + "\n").encode())
+    assert h.hexdigest() == MEMBERS_DIGEST

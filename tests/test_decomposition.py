@@ -1,7 +1,24 @@
+import hashlib
+
 import pytest
 
 from petersen_alpha import DomainError, adjacency, petersen_graph
 from petersen_alpha.decomposition import PathDecomposition, path_decomposition, validate_decomposition
+
+
+# sha256 over 5 <= n <= 150 and every k of path_decomposition(n, k).bags in
+# order: a line of comma-joined sorted codes per bag, a blank line per cell
+BAGS_DIGEST = "8d5118d6cbcbd1b4cbc77427a2d009a5438bfc47015491973e1490c02ee3a6ee"
+
+
+def test_bags_digest():
+    h = hashlib.sha256()
+    for n in range(5, 151):
+        for k in range(1, (n - 1) // 2 + 1):
+            for bag in path_decomposition(n, k).bags:
+                h.update((",".join(map(str, sorted(bag))) + "\n").encode())
+            h.update(b"\n")
+    assert h.hexdigest() == BAGS_DIGEST
 
 
 def test_shapes_10_2():

@@ -41,6 +41,12 @@ def test_constructor_rejects_bad_family(n, k):
         petersen_graph(n, k)
 
 
+@pytest.mark.parametrize("n", [-1, 0, 1, 2])
+def test_small_n_fails_n_above_2k(n):
+    with pytest.raises(DomainError, match="requires n > 2k"):
+        petersen_graph(n, 1)
+
+
 def test_adjacency_examples():
     adj = adjacency(petersen_graph(5, 2))
     # u_0 ~ u_1, u_4, v_0
@@ -267,6 +273,8 @@ def test_adjacency_graph_validates():
         AdjacencyGraph(1, ((0,),))  # self-loop
     with pytest.raises(DomainError):
         AdjacencyGraph.from_edges(2, [(0, 2)])
+    with pytest.raises(DomainError, match="self-loop at 1"):
+        AdjacencyGraph.from_edges(3, [(0, 1), (1, 1)])
 
 
 @given(st.data())

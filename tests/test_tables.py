@@ -294,3 +294,6 @@ def test_conjecture_missing_alpha_is_error():
 def test_cell_json_line_stable():
     line = TableCell(5, 2, 4, "closed-form", 0).to_json_line()
     assert json.loads(line) == {"n": 5, "k": 2, "alpha": 4, "method": "closed-form", "elapsed_ms": 0}
+    assert line == '{"alpha": 4, "elapsed_ms": 0, "k": 2, "method": "closed-form", "n": 5}'
+    timeout = TableCell(77, 37, None, "timeout", 120000).to_json_line()
+    assert timeout == '{"alpha": null, "elapsed_ms": 120000, "k": 37, "method": "timeout", "n": 77}'
