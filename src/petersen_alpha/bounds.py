@@ -3,11 +3,10 @@
 Every bound carries a source slug so reports stay traceable:
 
 exact values
-    k1            alpha(P(n,1)) = n (n even) / n-1 (n odd)
+    k1, k3, k5    alpha(P(n,k)) = n (n even) / n - (k+1)/2 (n odd)
     k2            alpha(P(n,2)) = floor(4n/5)
-    k3            alpha(P(n,3)) = n (n even) / n-2 (n odd)
-    k5            alpha(P(n,5)) = n (n even) / n-3 (n odd)
-    k4-residue    k=4 closed forms for n = 0,1,2,3,5 (mod 8)
+    k4-residue    alpha(P(n,4)) = 7 floor(n/8) + 0, 0, 1, 2, 4 for
+                  n = 0, 1, 2, 3, 5 (mod 8)
     n3k           alpha(P(3k,k)) = ceil((5k-2)/2)
     bipartite     alpha = n exactly when n is even and k is odd
     odd-odd-exact n,k odd with k | n: alpha = n - (k+1)/2
@@ -31,16 +30,17 @@ lower bounds
     odd-even-tiling   n odd, k even, k>2: ditto for odd n
     bipartite         n even, k odd: alpha = n
 
-Values are clamped at zero; several formulas go negative for small n.
+Only the strict even-k-ratio bound can go negative (for small n); it is
+clamped at zero.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import InternalError
-from .graph import petersen_graph
+from .graph import is_bipartite, petersen_graph
 
 
 @dataclass(frozen=True)
@@ -57,7 +57,7 @@ class BoundReport:
     lower: BoundValue
     upper: BoundValue
     exact: int | None
-    all: list[BoundValue] = field(default_factory=list)
+    all: list[BoundValue]
 
     def to_dict(self) -> dict:
         return {
@@ -66,9 +66,7 @@ class BoundReport:
             "lower": {"value": self.lower.value, "source": self.lower.source},
             "upper": {"value": self.upper.value, "source": self.upper.source},
             "exact": self.exact,
-            "all": [
-                {"value": b.value, "source": b.source, "kind": b.kind} for b in self.all
-            ],
+            "all": [dict(vars(b)) for b in self.all],
         }
 
 
@@ -90,6 +88,10 @@ def tiling_size_odd_even(n: int, k: int) -> int:
     return (2 * k - 1) * q + extra
 
 
+# alpha(P(n,4)) - 7 floor(n/8) for the residues n mod 8 that have a closed form
+_K4_OFFSET = {0: 0, 1: 0, 2: 1, 3: 2, 5: 4}
+
+
 def exact_closed_form(n: int, k: int) -> BoundValue | None:
     """The closed-form alpha(P(n,k)) when one of the known equalities applies.
 
@@ -98,28 +100,15 @@ def exact_closed_form(n: int, k: int) -> BoundValue | None:
     """
     petersen_graph(n, k)
     candidates: list[tuple[str, int]] = []
-    if k == 1:
-        candidates.append(("k1", n if n % 2 == 0 else n - 1))
+    if k in (1, 3, 5):
+        candidates.append((f"k{k}", n - n % 2 * (k + 1) // 2))
     if k == 2:
         candidates.append(("k2", 4 * n // 5))
-    if k == 3:
-        candidates.append(("k3", n if n % 2 == 0 else n - 2))
-    if k == 5:
-        candidates.append(("k5", n if n % 2 == 0 else n - 3))
-    if k == 4:
-        r = n % 8
-        by_residue = {
-            0: 7 * n // 8,
-            1: 7 * (n - 1) // 8,
-            2: 7 * (n - 2) // 8 + 1,
-            3: 7 * (n - 3) // 8 + 2,
-            5: 7 * (n - 5) // 8 + 4,
-        }
-        if r in by_residue:
-            candidates.append(("k4-residue", by_residue[r]))
+    if k == 4 and n % 8 in _K4_OFFSET:
+        candidates.append(("k4-residue", 7 * (n - n % 8) // 8 + _K4_OFFSET[n % 8]))
     if n == 3 * k:
         candidates.append(("n3k", (5 * k - 1) // 2))  # ceil((5k-2)/2)
-    if n % 2 == 0 and k % 2 == 1:
+    if is_bipartite(n, k):
         candidates.append(("bipartite", n))
     if n % 2 == 1 and k % 2 == 1 and n % k == 0:
         candidates.append(("odd-odd-exact", n - (k + 1) // 2))
@@ -128,8 +117,7 @@ def exact_closed_form(n: int, k: int) -> BoundValue | None:
 
     if not candidates:
         return None
-    values = {v for _, v in candidates}
-    if len(values) > 1:
+    if len({v for _, v in candidates}) > 1:
         raise InternalError(f"closed forms disagree for (n={n}, k={k}): {candidates}")
     source, value = candidates[0]
     return BoundValue(value, source, "exact")
@@ -148,14 +136,15 @@ def upper_bounds(n: int, k: int) -> list[BoundValue]:
 
 
 def lower_bounds(n: int, k: int) -> list[BoundValue]:
-    """Every applicable lower bound, clamped at 0 (never empty: odd k gives
-    odd-odd or bipartite, even k gives even-k-ratio)."""
+    """Every applicable lower bound (never empty: odd k gives odd-odd or
+    bipartite, even k gives even-k-ratio).  Only the strict even-k-ratio
+    bound can go negative; it is clamped at 0."""
     petersen_graph(n, k)
     d = math.gcd(n, k)
     out: list[BoundValue] = []
     if n % 2 == 1 and k % 2 == 1:
         out.append(BoundValue(n - (k + 1) // 2, "odd-odd", "lower"))
-    if n % 2 == 0 and k % 2 == 1:
+    if is_bipartite(n, k):
         out.append(BoundValue(n, "bipartite", "lower"))
     if k % 2 == 0:
         if n % (k - 1) == 0:
@@ -163,7 +152,7 @@ def lower_bounds(n: int, k: int) -> list[BoundValue]:
         else:
             # strict bound alpha > n - n/(k-1) - 2k, as an integer
             num = n * (k - 2) - 2 * k * (k - 1)
-            out.append(BoundValue(num // (k - 1) + 1, "even-k-ratio", "lower"))
+            out.append(BoundValue(max(0, num // (k - 1) + 1), "even-k-ratio", "lower"))
         if n % 2 == 0:
             out.append(BoundValue(n // 2 + (d // 2) * (n // (2 * d)), "even-even-gcd", "lower"))
         elif n >= 3 * k:
@@ -179,32 +168,21 @@ def lower_bounds(n: int, k: int) -> list[BoundValue]:
                 out.append(BoundValue(tiling_size_even_even(n, k), "even-even-tiling", "lower"))
             else:
                 out.append(BoundValue(tiling_size_odd_even(n, k), "odd-even-tiling", "lower"))
-    return [
-        BoundValue(max(0, b.value), b.source, b.kind) if b.value < 0 else b for b in out
-    ]
+    return out
 
 
 def best_bounds(n: int, k: int) -> BoundReport:
-    """Aggregate all bounds into the tightest sandwich, with an exact value
-    when a closed form applies or the sandwich closes."""
+    """Aggregate all bounds into the tightest sandwich.  A closed form comes
+    first on both sides, so it wins ties and a wrong one crosses the
+    sandwich; `exact` is set when the sandwich closes."""
     exact = exact_closed_form(n, k)
+    closed = [exact] if exact else []
     lowers = lower_bounds(n, k)
     uppers = upper_bounds(n, k)
-    everything = list(lowers) + list(uppers) + ([exact] if exact else [])
-
-    best_lower = max(lowers, key=lambda b: b.value)
-    best_upper = min(uppers, key=lambda b: b.value)
-    if exact is not None:
-        if exact.value >= best_lower.value:
-            best_lower = exact
-        if exact.value <= best_upper.value:
-            best_upper = exact
-    if best_lower.value > best_upper.value:
-        raise InternalError(
-            f"bounds crossed for (n={n}, k={k}): "
-            f"{best_lower.source}={best_lower.value} > {best_upper.source}={best_upper.value}"
-        )
-    exact_value = exact.value if exact else None
-    if exact_value is None and best_lower.value == best_upper.value:
-        exact_value = best_lower.value
-    return BoundReport(n, k, best_lower, best_upper, exact_value, everything)
+    lower = max(closed + lowers, key=lambda b: b.value)
+    upper = min(closed + uppers, key=lambda b: b.value)
+    if lower.value > upper.value:
+        raise InternalError(f"bounds crossed for (n={n}, k={k}): "
+                            f"{lower.source}={lower.value} > {upper.source}={upper.value}")
+    exact_value = lower.value if lower.value == upper.value else None
+    return BoundReport(n, k, lower, upper, exact_value, lowers + uppers + closed)

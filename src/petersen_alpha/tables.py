@@ -21,11 +21,13 @@ import json
 import logging
 import os
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, Iterable, Mapping
 
 from .errors import BudgetExceededError, ConsistencyError, DomainError
+from .graph import is_bipartite
 from .solver import alpha
 
 log = logging.getLogger(__name__)
@@ -82,7 +84,8 @@ def cache_load(path: str | Path) -> dict[tuple[int, int], TableCell]:
                 cell = TableCell(rec["n"], rec["k"], rec["alpha"], rec["method"], rec["elapsed_ms"])
                 if not (1 <= cell.k and 2 * cell.k < cell.n and -(-2 * cell.n // 3) <= cell.alpha <= cell.n):
                     raise ValueError("no P(n,k) has this alpha")
-            except (KeyError, TypeError, ValueError):  # UnicodeDecodeError and JSONDecodeError too
+            # ValueError covers bad UTF-8 and bad JSON, RecursionError JSON nested too deeply
+            except (KeyError, TypeError, ValueError, RecursionError):
                 log.warning("%s:%d: skipping malformed cache line", p, lineno)
                 continue
             prev = out.get((cell.n, cell.k))
@@ -190,7 +193,7 @@ def conjecture_case(n: int, k: int) -> str:
     """Which proven case of the vertex-cover conjecture covers (n, k)."""
     if k <= 5:
         return "small-k"
-    if n % 2 == 0 and k % 2 == 1:
+    if is_bipartite(n, k):
         return "bipartite"
     if n % 2 == 1 and k % 2 == 1 and 2 * n >= 5 * (k + 1):
         return "odd-odd"
@@ -227,10 +230,7 @@ class ConjectureReport:
         return all(c.holds and c.beta_holds for c in self.cells)
 
     def case_counts(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for c in self.cells:
-            counts[c.case] = counts.get(c.case, 0) + 1
-        return counts
+        return dict(Counter(c.case for c in self.cells))
 
     def to_dict(self) -> dict:
         return {

@@ -193,6 +193,7 @@ def _dp_witness(n: int, k: int, seed: int, value: int, marks: list[tuple[int, np
     if H.item(ends[-1] - starts[-1], len(marks) - 1, ub, w) != value:
         raise InternalError("witness sweep disagrees with the DP value")
     for j in range(len(marks) - 1, -1, -1):
+        check_deadline(deadline)
         for t in range(ends[j] - starts[j] - 1, -1, -1):
             col = starts[j] + t
             a, b = ub, w & 1

@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -63,9 +66,25 @@ def test_even_k_ratio_cases():
     assert vals == [max(0, (26 * 8 - 2 * 10 * 9) // 9 + 1)]
 
 
+# sha256 over 5 <= n <= 300 and every k (22,348 cells) of
+# json.dumps(best_bounds(n, k).to_dict(), sort_keys=True), a line per cell
+BOUNDS_DIGEST = "a15f3acfd891d0a1ae0d89e671f3e8a226bf43cfccc48f2c3d3d0bdc1be02872"
+BOUNDS_GRID = [(n, k) for n in range(5, 301) for k in range(1, (n - 1) // 2 + 1)]
+
+
+def test_bounds_digest():
+    assert len(BOUNDS_GRID) == 22348
+    h = hashlib.sha256()
+    for n, k in BOUNDS_GRID:
+        h.update((json.dumps(best_bounds(n, k).to_dict(), sort_keys=True) + "\n").encode())
+    assert h.hexdigest() == BOUNDS_DIGEST
+
+
 def test_negative_bounds_clamped():
-    for b in lower_bounds(5, 2) + lower_bounds(9, 4):
-        assert b.value >= 0
+    # lower_bounds clamps only the strict even-k-ratio bound, which goes
+    # negative on 73 of these cells, (10,4) the first; no other formula does
+    for n, k in BOUNDS_GRID:
+        assert all(b.value >= 0 for b in lower_bounds(n, k)), (n, k)
 
 
 def test_lower_bounds_never_empty():

@@ -164,9 +164,10 @@ def test_table_conflicting_cache_exit_2(tmp_path, capsys):
 
 
 def test_malformed_cache_lines_are_recomputed(tmp_path, capsys):
-    """A line that is not UTF-8 and records whose method names no solver are
-    skipped: table and conjecture exit 0 and solve those cells again."""
-    bad = (b'\xff\n'
+    """A line that is not UTF-8, one nested too deeply for the JSON parser and
+    records whose method names no solver are skipped: table and conjecture
+    exit 0 and solve those cells again."""
+    bad = (b'\xff\n' + b'[' * 200_000 + b'\n'
            b'{"n": 5, "k": 1, "alpha": 4, "method": null, "elapsed_ms": 0}\n'
            b'{"n": 5, "k": 2, "alpha": 4, "method": 5, "elapsed_ms": 0}\n')
     cache_path = tmp_path / "c.jsonl"
@@ -175,7 +176,7 @@ def test_malformed_cache_lines_are_recomputed(tmp_path, capsys):
         cache_path.write_bytes(bad)
         code, out, err = run(capsys, command, "--n-max", "6", "--cache", str(cache_path))
         assert (code, out) == plain[:2] and plain[0] == 0
-        assert err.count("skipping malformed cache line") == 3, command
+        assert err.count("skipping malformed cache line") == 4, command
         cells = tables.cache_load(cache_path)
         assert {cell: (c.alpha, c.method) for cell, c in cells.items()} == {
             (5, 1): (4, "closed-form"), (5, 2): (4, "closed-form"),

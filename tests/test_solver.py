@@ -5,6 +5,7 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -23,11 +24,13 @@ from petersen_alpha import (
     alpha_oracle,
     alpha_window_dp,
     best_bounds,
+    errors,
     graph,
     is_independent,
     maximum_independent_sets,
     petersen_graph,
     solver,
+    windowdp,
 )
 from petersen_alpha.graph import is_bipartite
 from petersen_alpha.solver import _bits, _clique_cover_bound, _delete, _dp_is_cheaper, _graph_to_masks, _reduce
@@ -687,6 +690,26 @@ def test_deadline_expires_during_run(solve):
     with pytest.raises(BudgetExceededError):
         solve(start + 0.05)
     assert time.monotonic() - start < 1.0
+
+
+@pytest.mark.parametrize("n,k", [(200, 4), (60, 7)])
+def test_witness_backtrack_checks_the_deadline(monkeypatch, n, k):
+    # a fake clock passes the deadline right after the witness re-sweep, the
+    # one sweep that keeps more than two tables, so only the backtrack sees it
+    clock = [0.0]
+    monkeypatch.setattr(errors, "time", SimpleNamespace(monotonic=lambda: clock[0]))
+    sweep = windowdp._sweep
+
+    def sweep_then_expire(T, *args):
+        last = sweep(T, *args)
+        if len(T) > 2:
+            clock[0] = 2.0
+        return last
+
+    monkeypatch.setattr(windowdp, "_sweep", sweep_then_expire)
+    with pytest.raises(BudgetExceededError):
+        alpha_window_dp(n, k, want_witness=True, deadline=1.0)
+    assert clock[0] == 2.0
 
 
 def test_exact_result_fields():
