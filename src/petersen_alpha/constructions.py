@@ -20,6 +20,7 @@ if the transcribed lists are ever wrong.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from .bounds import tiling_size_even_even, tiling_size_odd_even
 from .errors import DomainError, InternalError
@@ -53,15 +54,11 @@ class WitnessCheck:
         return self.ok
 
 
-def _require_even_k(k: int) -> None:
-    if k % 2 != 0 or k <= 2:
-        raise DomainError(f"pattern requires even k > 2, got k={k}")
-
-
 def type1_pattern(g: GeneralizedPetersen, t: int) -> frozenset[int]:
     """Codes of the unique maximum independent set of the 2k-segment at t."""
     k = g.k
-    _require_even_k(k)
+    if k % 2 != 0 or k <= 2:
+        raise DomainError(f"pattern requires even k > 2, got k={k}")
     outer = list(range(0, k - 1, 2)) + list(range(k + 1, 2 * k, 2))
     inner = list(range(1, k, 2)) + list(range(k, 2 * k - 1, 2))
     return frozenset([g.outer(t + off) for off in outer] + [g.inner(t + off) for off in inner])
@@ -72,13 +69,10 @@ def special2_pattern(g: GeneralizedPetersen, t: int) -> frozenset[int]:
     return type1_pattern(g, t) - {g.outer(t)}
 
 
-def _outer_range(g: GeneralizedPetersen, start: int, stop: int) -> set[int]:
-    """Codes of u_start, u_{start+2}, ... strictly below stop (0-based)."""
-    return {g.outer(i) for i in range(start, stop, 2)}
-
-
-def _inner_range(g: GeneralizedPetersen, start: int, stop: int) -> set[int]:
-    return {g.inner(i) for i in range(start, stop, 2)}
+def _every_other(code: Callable[[int], int], start: int, stop: int) -> set[int]:
+    """code(start), code(start + 2), ... for indices strictly below stop
+    (0-based), where code is g.outer (u_i) or g.inner (v_i)."""
+    return {code(i) for i in range(start, stop, 2)}
 
 
 def independent_set_even_even(n: int, k: int) -> IndependentSetWitness:
@@ -96,13 +90,13 @@ def independent_set_even_even(n: int, k: int) -> IndependentSetWitness:
     for j in range(q):
         members |= special2_pattern(g, r + 2 * k * j)
     if r <= k:
-        members |= _outer_range(g, 1, r)
+        members |= _every_other(g.outer, 1, r)
     else:
-        members |= _outer_range(g, 2, r - k - 1)
-        members |= _inner_range(g, 1, r - k)
-        members |= _outer_range(g, r - k, k - 1)
-        members |= _outer_range(g, k + 1, r)
-        members |= _inner_range(g, k, r - 1)
+        members |= _every_other(g.outer, 2, r - k - 1)
+        members |= _every_other(g.inner, 1, r - k)
+        members |= _every_other(g.outer, r - k, k - 1)
+        members |= _every_other(g.outer, k + 1, r)
+        members |= _every_other(g.inner, k, r - 1)
     return _checked(IndependentSetWitness(
         n, k, frozenset(members), tiling_size_even_even(n, k), "even-even-tiling"
     ))
@@ -128,17 +122,17 @@ def independent_set_odd_even(n: int, k: int) -> IndependentSetWitness:
     for j in range(q - 1):
         members |= special2_pattern(g, 2 * k + r + 2 * k * j)
     if r == 1:
-        members |= _outer_range(g, 1, k)
-        members |= _outer_range(g, k + 2, 2 * k + 1)
+        members |= _every_other(g.outer, 1, k)
+        members |= _every_other(g.outer, k + 2, 2 * k + 1)
         members |= {g.inner(k)}
-        members |= _inner_range(g, k + 1, 2 * k)
+        members |= _every_other(g.inner, k + 1, 2 * k)
     else:  # r < k and r > k differ only in where two inner runs stop
-        members |= _outer_range(g, 2, k - 1)
-        members |= _outer_range(g, k + 1, 2 * k)
-        members |= _outer_range(g, 2 * k + 2, 2 * k + r)
-        members |= _inner_range(g, 1, k)
-        members |= _inner_range(g, k, min(k + r, 2 * k - 1))
-        members |= _inner_range(g, 2 * k + 1, min(2 * k + r - 1, 3 * k))
+        members |= _every_other(g.outer, 2, k - 1)
+        members |= _every_other(g.outer, k + 1, 2 * k)
+        members |= _every_other(g.outer, 2 * k + 2, 2 * k + r)
+        members |= _every_other(g.inner, 1, k)
+        members |= _every_other(g.inner, k, min(k + r, 2 * k - 1))
+        members |= _every_other(g.inner, 2 * k + 1, min(2 * k + r - 1, 3 * k))
     return _checked(IndependentSetWitness(
         n, k, frozenset(members), tiling_size_odd_even(n, k), "odd-even-tiling"
     ))

@@ -14,9 +14,10 @@ with a "special" subtype when u_t is absent but could be added back inside the
 segment), or at most 2k-2 (type 3).  The spokes form a perfect matching of the
 segment, so the intersection can never exceed 2k.
 
-`petersen_violations` is the one check of which edges of P(n,k) lie inside a
-vertex set: witnesses and segments use it, and it never builds the graph.
-`adjacency` and `petersen_masks` (bitmasks) build P(n,k) from one edge list.
+`petersen_violations` is the one statement of P(n,k)'s edges: it lists the
+edges that lie inside a vertex set, without building the graph.  Witnesses
+and segments check their sets with it, and `adjacency` and `petersen_masks`
+(bitmasks) build the whole graph from it, as the edges inside all 2n codes.
 
 All functions here are pure; instances are immutable and safe to share.
 """
@@ -42,10 +43,6 @@ class GeneralizedPetersen:
             raise DomainError(f"k must be >= 1, got {self.k}")
         if self.n <= 2 * self.k:
             raise DomainError(f"P(n,k) requires n > 2k, got n={self.n}, k={self.k}")
-
-    @property
-    def vertex_count(self) -> int:
-        return 2 * self.n
 
     def outer(self, i: int) -> int:
         """Canonical code of u_i (index taken mod n)."""
@@ -119,22 +116,15 @@ def is_bipartite(n: int, k: int) -> bool:
     return n % 2 == 0 and k % 2 == 1
 
 
-def _edges(n: int, k: int) -> Iterator[tuple[int, int]]:
-    """Each edge of P(n,k) once: u_i u_{i+1}, u_i v_i and v_i v_{i+k} for each i."""
-    for i in range(n):
-        yield from ((i, (i + 1) % n), (i, n + i), (n + i, n + (i + k) % n))
-
-
 def adjacency(g: GeneralizedPetersen) -> AdjacencyGraph:
     """Adjacency lists of P(n,k) under the canonical encoding (deterministic)."""
-    return AdjacencyGraph.from_edges(2 * g.n, _edges(g.n, g.k))
+    return AdjacencyGraph.from_edges(2 * g.n, petersen_violations(g.n, g.k, range(2 * g.n)))
 
 
 def petersen_masks(n: int, k: int) -> dict[int, int]:
     """The neighbour bitmask of each vertex code of P(n,k), in code order."""
-    petersen_graph(n, k)
     masks = [0] * (2 * n)
-    for a, b in _edges(n, k):
+    for a, b in petersen_violations(n, k, range(2 * n)):
         masks[a] |= 1 << b
         masks[b] |= 1 << a
     return dict(enumerate(masks))

@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, Iterable, Mapping
 
+from .bounds import best_bounds
 from .errors import BudgetExceededError, ConsistencyError, DomainError
 from .graph import is_bipartite
 from .solver import alpha
@@ -245,7 +246,10 @@ def check_conjecture(n_max: int, alphas: Mapping[tuple[int, int], int]) -> Conje
     """Evaluate both conjecture forms on the exact alpha of every cell <= n_max.
 
     `alphas` maps (n, k) to the exact alpha, as the table runner computes
-    it; a cell missing from it is a ConsistencyError.
+    it; a cell missing from it is a ConsistencyError, and so is a value
+    below the threshold that is also below the cell's proven lower bound
+    (such as a corrupt cache line), rather than a violation.  Cells that
+    meet the threshold are not looked up in `bounds`.
     """
     report = ConjectureReport(n_max)
     for n, k in table_cells(n_max):
@@ -253,6 +257,8 @@ def check_conjecture(n_max: int, alphas: Mapping[tuple[int, int], int]) -> Conje
         if a is None:
             raise ConsistencyError(f"no exact alpha available for ({n},{k})")
         threshold = 4 * n // 5
+        if a < threshold and a < (low := best_bounds(n, k).lower).value:
+            raise ConsistencyError(f"alpha {a} for ({n},{k}) is below its bound {low.value} [{low.source}]")
         beta = 2 * n - a
         beta_bound = n + (-(n // -5))
         report.cells.append(

@@ -165,9 +165,10 @@ def test_table_conflicting_cache_exit_2(tmp_path, capsys):
 
 def test_malformed_cache_lines_are_recomputed(tmp_path, capsys):
     """A line that is not UTF-8, one nested too deeply for the JSON parser and
-    records whose method names no solver are skipped: table and conjecture
-    exit 0 and solve those cells again."""
-    bad = (b'\xff\n' + b'[' * 200_000 + b'\n'
+    records whose method names no solver are skipped with a warning, blank
+    lines without one: table and conjecture exit 0 and solve those cells
+    again."""
+    bad = (b'\xff\n' + b'[' * 200_000 + b'\n\n  \t\n'
            b'{"n": 5, "k": 1, "alpha": 4, "method": null, "elapsed_ms": 0}\n'
            b'{"n": 5, "k": 2, "alpha": 4, "method": 5, "elapsed_ms": 0}\n')
     cache_path = tmp_path / "c.jsonl"
@@ -198,6 +199,29 @@ def test_impossible_cache_values_are_recomputed(tmp_path, capsys):
         assert "VIOLATION" not in out and "5,1,7" not in out and "5,2,3" not in out
         cells = tables.cache_load(cache_path)
         assert (cells[5, 1].alpha, cells[5, 2].alpha) == (4, 4), command
+
+
+def test_cached_alpha_below_its_proven_bound_is_an_error(tmp_path, capsys):
+    """alpha(P(20,1)) = 14 passes the cache's range check, but it lies below
+    both floor(4n/5) = 16 and the closed form 20: conjecture exits 2 with a
+    consistency error, not a violation.  alpha(P(15,7)) = 11 lies below 12
+    but not below its proven lower bound 11, so it is reported as a
+    violation."""
+    cache_path = tmp_path / "c.jsonl"
+    for flags in ((), ("--json",)):
+        cache_path.write_text('{"alpha": 14, "elapsed_ms": 0, "k": 1, "method": "closed-form", "n": 20}\n')
+        code, out, err = run(capsys, "conjecture", "--n-max", "20", "--cache", str(cache_path), *flags)
+        assert (code, out) == (2, "") and "VIOLATION" not in err, flags
+        assert err.splitlines()[-1] == "consistency error: alpha 14 for (20,1) is below its bound 20 [k1]"
+        cache_path.write_text('{"alpha": 11, "elapsed_ms": 0, "k": 7, "method": "branch-reduce", "n": 15}\n')
+        code, out, err = run(capsys, "conjecture", "--n-max", "15", "--cache", str(cache_path), *flags)
+        assert code == 2 and "consistency error" not in err, flags
+        if flags:
+            payload = json.loads(out)
+            assert not payload["all_hold"]
+            assert [(c["n"], c["k"], c["alpha"]) for c in payload["cells"] if not c["holds"]] == [(15, 7, 11)]
+        else:
+            assert "conjecture holds on all: False" in out and "VIOLATION at (15,7): alpha=11 < 12" in out
 
 
 def test_table_rejects_zero_jobs_exit_1(capsys):

@@ -1,4 +1,6 @@
 import hashlib
+import json
+import random
 
 import pytest
 
@@ -68,6 +70,12 @@ def test_validator_flags_missing_vertex_and_edge():
     assert not report.every_edge_in_some_bag
     assert any("vertex 3" in v for v in report.violations)
     assert any("edge" in v for v in report.violations)
+    # members that are not vertices, in bags 0 and 2, break only the cover
+    bags = tuple(b | {-1, 20} if i in (0, 2) else b for i, b in enumerate(d.bags))
+    report = validate_decomposition(g, PathDecomposition(bags))
+    assert not report.union_covers_v
+    assert report.every_edge_in_some_bag and report.occurrences_connected
+    assert report.violations == ["bag member -1 is not a vertex", "bag member 20 is not a vertex"]
 
 
 def test_validator_flags_disconnected_occurrence():
@@ -80,6 +88,49 @@ def test_validator_flags_disconnected_occurrence():
     report = validate_decomposition(g, PathDecomposition(bags))
     assert not report.occurrences_connected
     assert any("disconnected" in v for v in report.violations)
+
+
+def _mutated_decompositions(count, seed):
+    """Decompositions of small cells with bags dropped, added and swapped,
+    members removed, and non-vertex members put into several bags."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        k = rng.randint(1, 3)
+        n = rng.randint(2 * k + 1, 2 * k + 10)
+        bags = [set(b) for b in path_decomposition(n, k).bags]
+        for _ in range(rng.randint(1, 4)):
+            i, j = rng.randrange(len(bags)), rng.randrange(len(bags))
+            op = rng.randrange(5)
+            if op == 0 and len(bags) > 1:
+                del bags[i]
+            elif op == 1:
+                bags.insert(i, set(rng.sample(range(2 * n), rng.randint(1, 4))))
+            elif op == 2:
+                bags[i], bags[j] = bags[j], bags[i]
+            elif op == 3 and len(bags[i]) > 1:
+                bags[i].discard(rng.choice(sorted(bags[i])))
+            elif op == 4:
+                stray = rng.choice((-1 - rng.randrange(3), 2 * n + rng.randrange(3)))
+                for b in rng.sample(bags, rng.randint(1, len(bags))):
+                    b.add(stray)
+        yield adjacency(petersen_graph(n, k)), PathDecomposition(tuple(map(frozenset, bags)))
+
+
+# sha256 over the reports of _mutated_decompositions(2000, 28), then of the
+# (10,2) decomposition with the non-vertex 20 put into bags 0, 2 and 4: one
+# json.dumps(vars(report), sort_keys=True) line each
+REPORTS_DIGEST = "d41b074f81464618cf6fa0a3c88173f6f49aaf9cd6599e4e8c2b196712391264"
+
+
+def test_validator_reports_digest():
+    cases = list(_mutated_decompositions(2000, 28))
+    bags = path_decomposition(10, 2).bags
+    cases.append((adjacency(petersen_graph(10, 2)),
+                  PathDecomposition(tuple(b | {20} if i % 2 == 0 else b for i, b in enumerate(bags)))))
+    h = hashlib.sha256()
+    for g, d in cases:
+        h.update((json.dumps(vars(validate_decomposition(g, d)), sort_keys=True) + "\n").encode())
+    assert h.hexdigest() == REPORTS_DIGEST
 
 
 def test_validator_flags_uncovered_edge_only():

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import pytest
@@ -261,12 +262,35 @@ def test_petersen_masks_are_the_adjacency_as_bits(cell):
     assert list(masks.items()) == list(_graph_to_masks(adjacency(petersen_graph(*cell))).items())
 
 
+# sha256 over every cell with n = 5, 10, ..., 200, in (n, k) order, of the
+# repr of adjacency(petersen_graph(n, k)).neighbors and of the (code, hex
+# mask) list of sorted(petersen_masks(n, k).items())
+ADJACENCY_DIGEST = "989528a4e76c00956f99a99af5288f1228a58fb76885b5cd8acf31dd527a24eb"
+MASKS_DIGEST = "ec6e6d801bb5ff1b3a7d635aa0b79328e8b1a12895eb9d61c96369cffa2e86e3"
+
+
+def test_structure_digests():
+    adj, masks = hashlib.sha256(), hashlib.sha256()
+    for n in range(5, 201, 5):
+        for k in range(1, (n - 1) // 2 + 1):
+            adj.update(repr(adjacency(petersen_graph(n, k)).neighbors).encode())
+            masks.update(repr([(v, hex(m)) for v, m in sorted(petersen_masks(n, k).items())]).encode())
+    assert (adj.hexdigest(), masks.hexdigest()) == (ADJACENCY_DIGEST, MASKS_DIGEST)
+
+
 def test_petersen_masks_reject_bad_family():
     with pytest.raises(DomainError):
         petersen_masks(6, 3)
 
 
 def test_adjacency_graph_validates():
+    with pytest.raises(DomainError, match="length differs"):
+        AdjacencyGraph(3, ((1,), (0,)))
+    for row in ((2, 1), (1, 1)):  # unsorted, duplicate
+        with pytest.raises(DomainError, match="neighbor list of 0 is not sorted"):
+            AdjacencyGraph(3, (row, (0,), (0,)))
+    with pytest.raises(DomainError, match="neighbor 2 of 0 out of range"):
+        AdjacencyGraph(2, ((2,), ()))
     with pytest.raises(DomainError):
         AdjacencyGraph(2, ((1,), ()))  # asymmetric
     with pytest.raises(DomainError):
