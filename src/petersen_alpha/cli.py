@@ -17,7 +17,7 @@ from . import bounds as bounds_mod
 from . import tables
 from .constructions import independent_set_even_even, independent_set_odd_even
 from .decomposition import checked_path_decomposition
-from .errors import BudgetExceededError, ConsistencyError, DomainError, InternalError
+from .errors import ConsistencyError, DomainError, InternalError
 from .graph import petersen_graph
 from .solver import alpha as solve_alpha
 
@@ -46,12 +46,12 @@ def _cmd_alpha(args) -> int:
         "method": result.method, "elapsed_ms": result.elapsed_ms,
     }
     if args.witness:
-        payload["witness"] = list(result.witness) if result.witness else None
+        payload["witness"] = list(result.witness)
     if args.json:
         _emit_json(payload)
     else:
         print(f"alpha(P({args.n},{args.k})) = {result.value}  [{result.method}, {result.elapsed_ms} ms]")
-        if args.witness and result.witness:
+        if args.witness:
             g = petersen_graph(args.n, args.k)
             print("witness:", " ".join(g.label(v) for v in result.witness))
     return EXIT_OK
@@ -199,9 +199,6 @@ def main(argv: list[str] | None = None) -> int:
     except InternalError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_VERIFY
-    except BudgetExceededError as exc:
-        print(f"timeout: {exc}", file=sys.stderr)
-        return EXIT_TIMEOUT
     finally:
         logger.removeHandler(handler)
         logger.setLevel(level)

@@ -47,11 +47,10 @@ class IndependentSetWitness:
 
 @dataclass(frozen=True)
 class WitnessCheck:
-    ok: bool
     problems: tuple[str, ...]
 
     def __bool__(self) -> bool:
-        return self.ok
+        return not self.problems
 
 
 def type1_pattern(g: GeneralizedPetersen, t: int) -> frozenset[int]:
@@ -154,4 +153,4 @@ def verify_witness(w: IndependentSetWitness) -> WitnessCheck:
         problems.append(f"size mismatch: {len(w.members)} members, claimed {w.claimed_size}")
     for a, b in petersen_violations(w.n, w.k, w.members):
         problems.append(f"edge inside set: {g.label(a)}-{g.label(b)}")
-    return WitnessCheck(not problems, tuple(problems))
+    return WitnessCheck(tuple(problems))

@@ -130,25 +130,19 @@ def petersen_masks(n: int, k: int) -> dict[int, int]:
     return dict(enumerate(masks))
 
 
-def segment_vertices(g: GeneralizedPetersen, t: int, length: int | None = None) -> tuple[int, ...]:
-    """Canonical codes of the spoke pairs t..t+length-1 (wrapping mod n)."""
-    if length is None:
-        length = 2 * g.k
-    if not 1 <= length <= g.n:
-        raise DomainError(f"segment length must be in [1, n], got {length}")
+def segment_vertices(g: GeneralizedPetersen, t: int) -> tuple[int, ...]:
+    """Canonical codes of the 2k spoke pairs t..t+2k-1 (wrapping mod n)."""
     out = []
-    for j in range(length):
+    for j in range(2 * g.k):
         out.append(g.outer(t + j))
-    for j in range(length):
+    for j in range(2 * g.k):
         out.append(g.inner(t + j))
     return tuple(out)
 
 
-def segment_subgraph(
-    g: GeneralizedPetersen, t: int, length: int | None = None
-) -> tuple[AdjacencyGraph, tuple[int, ...]]:
+def segment_subgraph(g: GeneralizedPetersen, t: int) -> tuple[AdjacencyGraph, tuple[int, ...]]:
     """Induced subgraph on a segment plus the local->canonical code mapping."""
-    codes = segment_vertices(g, t, length)
+    codes = segment_vertices(g, t)
     pos = {c: i for i, c in enumerate(codes)}
     edges = [(pos[a], pos[b]) for a, b in petersen_violations(g.n, g.k, codes)]
     return AdjacencyGraph.from_edges(len(codes), edges), codes

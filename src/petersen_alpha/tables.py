@@ -128,8 +128,7 @@ def _compute_cell(args: tuple[int, int, float | None]) -> TableCell:
     try:
         result = alpha(n, k, "auto", deadline=deadline)
     except BudgetExceededError:
-        budget_ms = int((budget_secs or 0) * 1000)
-        return TableCell(n, k, None, "timeout", budget_ms)
+        return TableCell(n, k, None, "timeout", int(budget_secs * 1000))
     return TableCell(n, k, result.value, result.method, result.elapsed_ms)
 
 

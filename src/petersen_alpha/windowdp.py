@@ -39,8 +39,9 @@ from .graph import is_bipartite, petersen_violations
 # States (u_bit=1, odd w) violate the spoke at their own column, so no
 # transition ever writes them; they stay at the sentinel (or, after a block
 # product, as far below every real total), so no table is ever cleared.
-# _sweep is the one column loop: it builds the transfer matrix, runs each seed
-# chunk (past the 64-column blocks for k <= _SMALL_K) and the witness segments.
+# _sweep is the one column loop: it builds the transfer matrix, runs each value
+# segment that is not a whole transfer block (for k <= _SMALL_K, the last
+# n mod 64 columns) and the witness segments.
 #
 # Witness (checkpointed reverse sweep, as in Griewank & Walther's "revolve"):
 # with want_witness the value pass copies its table every `every` columns (at
@@ -117,31 +118,31 @@ def _transfer_block(k: int) -> np.ndarray:
 def _final_values(n: int, k: int, seeds: np.ndarray, deadline: float | None,
                   checkpoints: list[tuple[int, np.ndarray]] | None = None) -> np.ndarray:
     """Accepted total for every seed: the value of the run that starts in the
-    seed state and, after all n columns, returns to it.  A given `checkpoints`
-    list receives (column, copy of the table before that column) at columns
-    0, every, 2*every, ... below n: every _BLOCK columns for k <= _SMALL_K,
-    else as few columns as keep the copies within _CHECKPOINT_BYTES."""
+    seed state and, after all n columns, returns to it.  The n columns run as
+    segments of `every` columns: _BLOCK for k <= _SMALL_K, where each whole
+    segment is one product with the transfer matrix; else one segment of n,
+    or, when checkpoints are kept, as few as keep the copies within
+    _CHECKPOINT_BYTES.  A given `checkpoints` list receives (column, copy of
+    the table before that column) at each segment start 0, every, 2*every, ...
+    below n."""
     rows = len(seeds)
     T, tmp, idx = _dp_tables(seeds, k, n)
-    cur, done, every = 0, 0, n
-    if checkpoints is not None:
-        every = _BLOCK if k <= _SMALL_K else -(-n // max(1, _CHECKPOINT_BYTES // T[0].nbytes))
+    cur, every = 0, n
     if k <= _SMALL_K:
-        M = _transfer_block(k)
-        while done + _BLOCK <= n:
+        M, every = _transfer_block(k), _BLOCK
+    elif checkpoints is not None:
+        every = -(-n // max(1, _CHECKPOINT_BYTES // T[0].nbytes))
+    for done in range(0, n, every):
+        if checkpoints is not None:
+            checkpoints.append((done, T[cur].copy()))
+        if k <= _SMALL_K and done + _BLOCK <= n:
             check_deadline(deadline)
-            if checkpoints is not None:
-                checkpoints.append((done, T[cur].copy()))
             W = T[1 - cur].reshape(rows, -1)
             np.max(T[cur].reshape(rows, -1)[:, :, None] + M[None, :, :], axis=1, out=W)
             np.maximum(W, _NEG, out=W)  # keep unreachable entries from drifting down
-            cur, done = 1 - cur, done + _BLOCK
-    while done < n:
-        if checkpoints is not None:
-            checkpoints.append((done, T[cur].copy()))
-        columns = min(every, n - done)
-        cur = _sweep(T, tmp, columns, deadline, cur)
-        done += columns
+            cur = 1 - cur
+        else:
+            cur = _sweep(T, tmp, min(every, n - done), deadline, cur)
     return T[cur][idx]
 
 

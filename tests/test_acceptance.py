@@ -30,7 +30,7 @@ from petersen_alpha.constructions import (
     type1_pattern,
     verify_witness,
 )
-from petersen_alpha.decomposition import path_decomposition, validate_decomposition
+from petersen_alpha.decomposition import checked_path_decomposition
 from petersen_alpha.tables import cache_load, check_conjecture, generate_table, table_cells
 
 CACHE_PATH = Path(__file__).resolve().parent.parent / "data" / "alpha_n77.jsonl"
@@ -160,10 +160,9 @@ def test_criterion_7_path_decomposition_grid():
         for k in range(1, min(10, (n - 1) // 2) + 1):
             if n <= 2 * k + 1:
                 continue
-            d = path_decomposition(n, k)
+            d, report = checked_path_decomposition(n, k)
             assert len(d.bags) == n - 2 * k - 1, (n, k)
             assert all(len(b) == 4 * k + 4 for b in d.bags), (n, k)
-            report = validate_decomposition(adjacency(petersen_graph(n, k)), d)
             assert report.valid and report.width == 4 * k + 3, (n, k)
             count += 1
     print(f"\nACCEPTANCE 7: PASS - {count} decompositions satisfy all three axioms "

@@ -34,7 +34,7 @@ from petersen_alpha import (
 )
 from petersen_alpha.graph import is_bipartite
 from petersen_alpha.solver import _bits, _clique_cover_bound, _delete, _dp_is_cheaper, _graph_to_masks, _reduce
-from petersen_alpha.windowdp import _BLOCK, _NEG, _dp_tables, _final_values, _sweep, _transfer_block
+from petersen_alpha.windowdp import _BLOCK, _CHECKPOINT_BYTES, _NEG, _dp_tables, _final_values, _sweep, _transfer_block
 
 
 def cycle(m: int) -> AdjacencyGraph:
@@ -73,6 +73,17 @@ def test_window_dp_examples(n, k, expected):
 def test_window_dp_cap():
     with pytest.raises(DomainError):
         alpha_window_dp(40, 13)
+
+
+def test_window_dp_int32_tables():
+    """Past 8,000 columns a k > 5 sweep keeps int32 tables: (8001, 7) is
+    odd-odd-exact, n - (k+1)/2, and its witness is an independent set of
+    that size."""
+    assert best_bounds(8001, 7).exact == 7997
+    assert alpha_window_dp(8001, 7).value == 7997
+    r = alpha_window_dp(8001, 7, want_witness=True)
+    assert r.value == 7997 and len(r.witness) == 7997
+    assert not graph.petersen_violations(8001, 7, r.witness)
 
 
 NUMPY_ON_DEMAND = """
@@ -454,6 +465,24 @@ def test_first_maximal_seed_has_the_pair_out(cell):
     n, k = cell
     finals = _final_values(n, k, np.arange(1 << k), None)
     assert np.argmax(finals) < 1 << (k - 1)
+
+
+# k <= 5: below one block, two whole blocks, two blocks and a tail; k = 6..8
+# near n = 2000 keep several checkpoint segments
+@pytest.mark.parametrize("n,k", [(40, 3), (128, 4), (130, 5), (2000, 6), (1999, 7), (2001, 8)])
+def test_checkpoint_schedule(n, k):
+    """Checkpoints sit at 0, every, 2*every, ... below n: every _BLOCK
+    columns for k <= 5, else the fewest segments whose copies fit in
+    _CHECKPOINT_BYTES; keeping them leaves every seed's total as it was."""
+    seeds = np.arange(1 << (k if is_bipartite(n, k) else k - 1))
+    checkpoints = []
+    finals = _final_values(n, k, seeds, None, checkpoints)
+    assert np.array_equal(finals, _final_values(n, k, seeds, None))
+    table_bytes = checkpoints[0][1].nbytes
+    every = _BLOCK if k <= 5 else -(-n // (_CHECKPOINT_BYTES // table_bytes))
+    assert [col for col, _ in checkpoints] == list(range(0, n, every))
+    if k > 5:
+        assert 1 < len(checkpoints) and len(checkpoints) * table_bytes <= _CHECKPOINT_BYTES
 
 
 # k <= 5 goes through 64-column transfer blocks: n below one block, past one, past two
